@@ -4,23 +4,14 @@ random projection, and eigengap spectral clustering."""
 __version__ = "0.1.0"
 
 from .admm import (
-    FactorizationCache,
     SolveReport,
     SolverConfig,
-    SolverState,
     default_mu,
     objective_value,
-    residual_report,
-    soft_threshold,
     solve_ssc,
-    update_a,
-    update_c,
-    update_multipliers,
 )
-from .cli import RunConfig, compare_partitions, run
 from .data import (
     Frame,
-    FrameSet,
     SyntheticDataset,
     export_convergence,
     export_heatmap,
@@ -49,6 +40,7 @@ from .spectral import (
     SpectralResult,
     build_affinity,
     cluster,
+    compare_partitions,
     estimate_num_clusters,
     kmeans,
     normalized_laplacian,

@@ -3,7 +3,9 @@
 Stages run in a fixed order (ingest -> project -> solve -> spectral ->
 export) and every run can drop a metadata file that records the effective
 parameters as reloadable key=value lines, so a finished run can be
-reproduced from its metadata alone.
+reproduced from its metadata alone.  The argument parser is the only
+schema: config-file keys, their types and defaults, and the lines of the
+run record all come from its flag declarations.
 
 Exit codes: 0 success, 2 configuration error, 3 input or format error,
 4 solver divergence, 5 I/O error.
@@ -13,10 +15,7 @@ import argparse
 import glob as globlib
 import os
 import sys
-from dataclasses import dataclass
-from typing import Optional
-
-import numpy as np
+from dataclasses import fields
 
 from . import __version__
 from .admm import SolverConfig, solve_ssc
@@ -31,67 +30,13 @@ from .data import (
 )
 from .errors import ConfigError, DivergenceError, InputError
 from .projection import gaussian_matrix, project
-from .spectral import AFFINITY_FORMULA, build_affinity, cluster
+from .spectral import AFFINITY_FORMULA, build_affinity, cluster, default_k_max
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
 EXIT_INPUT = 3
 EXIT_DIVERGED = 4
 EXIT_IO = 5
-
-# config-file keys; every flag has exactly one of these
-_INT_KEYS = ("max_iter", "k", "k_max", "spectral_seed", "restarts")
-_FLOAT_KEYS = ("mu", "rho", "tol_primal", "tol_change")
-_STR_KEYS = (
-    "frames",
-    "synth",
-    "project",
-    "out_labels",
-    "out_w",
-    "out_c",
-    "out_conv",
-    "out_meta",
-)
-_BOOL_KEYS = ("normalize",)
-_ALL_KEYS = _INT_KEYS + _FLOAT_KEYS + _STR_KEYS + _BOOL_KEYS
-
-
-@dataclass
-class RunConfig:
-    """Everything one pipeline run depends on, seeds included."""
-
-    frames: Optional[str] = None
-    synth: Optional[tuple] = None  # (K, d, D, n_per, sigma, seed)
-    normalize: bool = False
-    project: Optional[tuple] = None  # (m, seed)
-    solver: SolverConfig = None
-    k_override: Optional[int] = None
-    k_max: Optional[int] = None
-    spectral_seed: int = 0
-    restarts: int = 10
-    out_labels: Optional[str] = None
-    out_w: Optional[str] = None
-    out_c: Optional[str] = None
-    out_conv: Optional[str] = None
-    out_meta: Optional[str] = None
-
-    def __post_init__(self):
-        if self.solver is None:
-            self.solver = SolverConfig()
-
-    def validate(self):
-        if (self.frames is None) == (self.synth is None):
-            raise ConfigError(
-                "exactly one input source required: --frames or --synth"
-            )
-        if self.project is not None and self.project[0] < 1:
-            raise ConfigError(f"projection m must be >= 1, got {self.project[0]}")
-        if self.k_override is not None and self.k_override < 1:
-            raise ConfigError(f"k must be >= 1, got {self.k_override}")
-        if self.k_max is not None and self.k_max < 1:
-            raise ConfigError(f"k_max must be >= 1, got {self.k_max}")
-        if self.restarts < 1:
-            raise ConfigError(f"restarts must be >= 1, got {self.restarts}")
 
 
 def parse_synth_spec(text):
@@ -119,8 +64,77 @@ def parse_project_spec(text):
         raise ConfigError(f"malformed --project value {text!r}")
 
 
+def build_parser():
+    """The flags, each declaring its type and default once.
+
+    The spec types raise ConfigError, which argparse lets through, so a
+    malformed spec exits with the configuration code and not a usage error.
+    """
+    parser = argparse.ArgumentParser(
+        prog="ssclust",
+        description="Sparse self-expressive clustering of column-stacked data.",
+    )
+    inp = parser.add_argument_group("input")
+    inp.add_argument("--frames", metavar="GLOB", help="PGM frame files")
+    inp.add_argument(
+        "--synth",
+        type=parse_synth_spec,
+        metavar="K,d,D,n_per,sigma,seed",
+        help="synthetic dataset",
+    )
+    inp.add_argument(
+        "--normalize",
+        action="store_true",
+        help="scale each data column to unit length",
+    )
+    inp.add_argument(
+        "--project",
+        type=parse_project_spec,
+        metavar="m,seed",
+        help="random sketch to m dimensions",
+    )
+    sol = parser.add_argument_group("solver")
+    sol.add_argument("--mu", type=float, help="quadratic penalty weight")
+    sol.add_argument("--rho", type=float, help="augmented Lagrangian weight")
+    sol.add_argument("--max-iter", type=int, default=SolverConfig.max_iter)
+    sol.add_argument("--tol-primal", type=float, default=SolverConfig.tol_primal)
+    sol.add_argument("--tol-change", type=float, default=SolverConfig.tol_change)
+    spc = parser.add_argument_group("spectral")
+    spc.add_argument("--k", type=int, help="fixed cluster count")
+    spc.add_argument("--k-max", type=int)
+    spc.add_argument("--spectral-seed", type=int, default=0)
+    spc.add_argument("--restarts", type=int, default=10)
+    out = parser.add_argument_group("outputs")
+    out.add_argument("--out-labels", metavar="CSV")
+    out.add_argument("--out-w", metavar="PGM")
+    out.add_argument("--out-c", metavar="PGM")
+    out.add_argument("--out-conv", metavar="CSV")
+    out.add_argument("--out-meta", metavar="FILE")
+    parser.add_argument("--config", metavar="FILE", help="key=value defaults")
+    return parser
+
+
+def _convert(action, key, raw):
+    """Type one config-file value the way its flag's action types it."""
+    try:
+        if action.nargs == 0:  # a switch: --normalize
+            return {"true": True, "false": False}[raw.lower()]
+        return action.type(raw) if action.type is not None else raw
+    except (KeyError, ValueError):
+        raise ConfigError(f"bad value for {key}: {raw!r}")
+
+
 def load_config_file(path):
-    """Read key=value lines; '#' comments and blank lines are skipped."""
+    """Read key=value lines into typed values keyed by flag destination.
+
+    Keys are the long flag names except --config, with '-' and '_'
+    interchangeable; '#' comments and blank lines are skipped.
+    """
+    actions = {
+        action.dest: action
+        for action in build_parser()._actions
+        if action.dest not in ("help", "config")
+    }
     try:
         with open(path, "r", encoding="ascii") as fh:
             lines = fh.readlines()
@@ -135,197 +149,87 @@ def load_config_file(path):
             raise ConfigError(f"{path}:{lineno}: expected key=value, got {line!r}")
         key, _, value = line.partition("=")
         key = key.strip().replace("-", "_")
-        if key not in _ALL_KEYS:
+        if key not in actions:
             raise ConfigError(f"{path}:{lineno}: unknown key {key!r}")
-        values[key] = value.strip()
+        values[key] = _convert(actions[key], key, value.strip())
     return values
 
 
-def _typed(key, raw):
-    try:
-        if key in _INT_KEYS:
-            return int(raw)
-        if key in _FLOAT_KEYS:
-            return float(raw)
-        if key in _BOOL_KEYS:
-            lowered = raw.lower()
-            if lowered not in ("true", "false"):
-                raise ValueError(raw)
-            return lowered == "true"
-    except ValueError:
-        raise ConfigError(f"bad value for {key}: {raw!r}")
-    return raw
+def _check(args):
+    """Reject values the flag types accept but the pipeline cannot run."""
+    if (args.frames is None) == (args.synth is None):
+        raise ConfigError("exactly one input source required: --frames or --synth")
+    if args.project is not None and args.project[0] < 1:
+        raise ConfigError(f"projection m must be >= 1, got {args.project[0]}")
+    for key in ("k", "k_max", "restarts"):
+        value = getattr(args, key)
+        if value is not None and value < 1:
+            raise ConfigError(f"{key} must be >= 1, got {value}")
 
 
-def build_parser():
-    parser = argparse.ArgumentParser(
-        prog="ssclust",
-        description="Sparse self-expressive clustering of column-stacked data.",
-    )
-    inp = parser.add_argument_group("input")
-    inp.add_argument("--frames", metavar="GLOB", help="PGM frame files")
-    inp.add_argument(
-        "--synth", metavar="K,d,D,n_per,sigma,seed", help="synthetic dataset"
-    )
-    inp.add_argument(
-        "--normalize",
-        action="store_const",
-        const=True,
-        default=None,
-        help="scale each data column to unit length",
-    )
-    inp.add_argument(
-        "--project", metavar="m,seed", help="random sketch to m dimensions"
-    )
-    sol = parser.add_argument_group("solver")
-    sol.add_argument("--mu", type=float, help="quadratic penalty weight")
-    sol.add_argument("--rho", type=float, help="augmented Lagrangian weight")
-    sol.add_argument("--max-iter", type=int, dest="max_iter")
-    sol.add_argument("--tol-primal", type=float, dest="tol_primal")
-    sol.add_argument("--tol-change", type=float, dest="tol_change")
-    spc = parser.add_argument_group("spectral")
-    spc.add_argument("--k", type=int, help="fixed cluster count")
-    spc.add_argument("--k-max", type=int, dest="k_max")
-    spc.add_argument("--spectral-seed", type=int, dest="spectral_seed")
-    spc.add_argument("--restarts", type=int)
-    out = parser.add_argument_group("outputs")
-    out.add_argument("--out-labels", dest="out_labels", metavar="CSV")
-    out.add_argument("--out-w", dest="out_w", metavar="PGM")
-    out.add_argument("--out-c", dest="out_c", metavar="PGM")
-    out.add_argument("--out-conv", dest="out_conv", metavar="CSV")
-    out.add_argument("--out-meta", dest="out_meta", metavar="FILE")
-    parser.add_argument("--config", metavar="FILE", help="key=value defaults")
-    return parser
-
-
-def build_config(args):
-    """Merge command line over config-file values over defaults."""
-    fromfile = load_config_file(args.config) if args.config else {}
-
-    def pick(key, default=None):
-        cli_value = getattr(args, key)
-        if cli_value is not None:
-            return cli_value
-        if key in fromfile:
-            return _typed(key, fromfile[key])
-        return default
-
-    synth_raw = pick("synth")
-    project_raw = pick("project")
-    try:
-        solver = SolverConfig(
-            mu=pick("mu"),
-            rho=pick("rho"),
-            max_iter=pick("max_iter", 5000),
-            tol_primal=pick("tol_primal", 1e-4),
-            tol_change=pick("tol_change", 1e-5),
-        )
-    except InputError as exc:
-        raise ConfigError(str(exc))
-    return RunConfig(
-        frames=pick("frames"),
-        synth=parse_synth_spec(synth_raw) if synth_raw is not None else None,
-        normalize=bool(pick("normalize", False)),
-        project=parse_project_spec(project_raw) if project_raw is not None else None,
-        solver=solver,
-        k_override=pick("k"),
-        k_max=pick("k_max"),
-        spectral_seed=pick("spectral_seed", 0),
-        restarts=pick("restarts", 10),
-        out_labels=pick("out_labels"),
-        out_w=pick("out_w"),
-        out_c=pick("out_c"),
-        out_conv=pick("out_conv"),
-        out_meta=pick("out_meta"),
-    )
-
-
-def compare_partitions(labels_a, labels_b):
-    """Fraction of point pairs on which two partitions agree.
-
-    A pair agrees when both partitions put it in one cluster or both
-    split it.  Invariant under relabeling; 1.0 for identical partitions.
-    """
-    labels_a = np.asarray(labels_a)
-    labels_b = np.asarray(labels_b)
-    if labels_a.shape != labels_b.shape or labels_a.ndim != 1:
-        raise InputError(
-            f"label vectors must match, got {labels_a.shape} and {labels_b.shape}"
-        )
-    n = labels_a.size
-    if n < 2:
-        return 1.0
-    same_a = labels_a[:, None] == labels_a[None, :]
-    same_b = labels_b[:, None] == labels_b[None, :]
-    i, j = np.triu_indices(n, k=1)
-    return float(np.mean(same_a[i, j] == same_b[i, j]))
-
-
-def _load_input(config):
-    if config.frames is not None:
-        paths = sorted(globlib.glob(config.frames))
+def _load_input(args):
+    if args.frames is not None:
+        paths = sorted(globlib.glob(args.frames))
         if not paths:
-            raise InputError(f"no files match {config.frames!r}")
-        return frames_to_matrix(load_frames(paths), normalize=config.normalize)
-    K, d, D, n_per, sigma, seed = config.synth
+            raise InputError(f"no files match {args.frames!r}")
+        return frames_to_matrix(load_frames(paths), normalize=args.normalize)
+    K, d, D, n_per, sigma, seed = args.synth
     dataset = synth_union_of_subspaces(K, d, D, n_per, noise_sigma=sigma, seed=seed)
-    Y = dataset.Y
-    if config.normalize:
-        Y = normalize_columns(Y)
-    return Y
+    return normalize_columns(dataset.Y) if args.normalize else dataset.Y
 
 
-def _write_metadata(path, config, report, result, k_max_eff):
-    lines = ["# run record; reloadable with --config"]
-    lines.append(f"# version={__version__}")
-    lines.append(f"# affinity={AFFINITY_FORMULA}")
-    lines.append(f"# converged={str(report.converged).lower()}")
-    lines.append(f"# iterations={report.iterations}")
-    lines.append(f"# r1={float(report.r_affine)!r}")
-    lines.append(f"# r2={float(report.r_split)!r}")
-    lines.append(f"# r3={float(report.r_change)!r}")
-    lines.append(f"# estimated_k={result.estimated_k}")
-    if config.frames is not None:
-        lines.append(f"frames={config.frames}")
-    else:
-        K, d, D, n_per, sigma, seed = config.synth
-        lines.append(f"synth={K},{d},{D},{n_per},{sigma!r},{seed}")
-    lines.append(f"normalize={str(config.normalize).lower()}")
-    if config.project is not None:
-        lines.append(f"project={config.project[0]},{config.project[1]}")
-    lines.append(f"mu={float(report.mu)!r}")
-    lines.append(f"rho={float(report.rho)!r}")
-    lines.append(f"max_iter={config.solver.max_iter}")
-    lines.append(f"tol_primal={config.solver.tol_primal!r}")
-    lines.append(f"tol_change={config.solver.tol_change!r}")
-    if config.k_override is not None:
-        lines.append(f"k={config.k_override}")
-    lines.append(f"k_max={k_max_eff}")
-    lines.append(f"spectral_seed={config.spectral_seed}")
-    lines.append(f"restarts={config.restarts}")
-    for key in ("out_labels", "out_w", "out_c", "out_conv", "out_meta"):
-        value = getattr(config, key)
-        if value is not None:
-            lines.append(f"{key}={value}")
+def _format(value):
+    """Write a typed value back in the form its flag's type reads."""
+    if isinstance(value, bool):
+        return str(value).lower()
+    if isinstance(value, tuple):
+        return ",".join(_format(v) for v in value)
+    if isinstance(value, float):
+        return repr(float(value))
+    return str(value)
+
+
+def _write_metadata(path, effective, report, result):
+    lines = [
+        "# run record; reloadable with --config",
+        f"# version={__version__}",
+        f"# affinity={AFFINITY_FORMULA}",
+        f"# converged={str(report.converged).lower()}",
+        f"# iterations={report.iterations}",
+        f"# r1={float(report.r_affine)!r}",
+        f"# r2={float(report.r_split)!r}",
+        f"# r3={float(report.r_change)!r}",
+        f"# estimated_k={result.estimated_k}",
+    ]
+    # argparse fills the namespace in flag declaration order
+    for key, value in effective.items():
+        if value is not None and key != "config":
+            lines.append(f"{key}={_format(value)}")
     with open(path, "w", encoding="ascii", newline="\n") as fh:
         fh.write("\n".join(lines) + "\n")
 
 
-def run(config):
-    """Execute the pipeline; returns an exit code, artifacts on disk."""
+def run(args):
+    """Execute the pipeline for parsed arguments; returns an exit code."""
     written = []
     stage = "config"
     try:
-        config.validate()
+        try:
+            solver = SolverConfig(
+                **{f.name: getattr(args, f.name) for f in fields(SolverConfig)}
+            )
+        except InputError as exc:
+            raise ConfigError(str(exc))
+        _check(args)
         stage = "ingest"
-        Y = _load_input(config)
+        Y = _load_input(args)
         stage = "project"
-        if config.project is not None:
-            m, seed = config.project
+        if args.project is not None:
+            m, seed = args.project
             G = gaussian_matrix(m, Y.shape[0], seed)
             Y = project(G, Y)
         stage = "solve"
-        C, report = solve_ssc(Y, config.solver)
+        C, report = solve_ssc(Y, solver)
         if not report.converged:
             print(
                 f"ssclust: solve: not converged after {report.iterations} "
@@ -335,32 +239,28 @@ def run(config):
             )
         stage = "spectral"
         W = build_affinity(C)
-        k_max_eff = config.k_max
-        if k_max_eff is None:
-            k_max_eff = min(W.shape[0] - 1, 15)
+        k_max = args.k_max if args.k_max is not None else default_k_max(W.shape[0])
         result = cluster(
             W,
-            k_override=config.k_override,
-            seed=config.spectral_seed,
-            k_max=k_max_eff,
-            restarts=config.restarts,
+            k_override=args.k,
+            seed=args.spectral_seed,
+            k_max=k_max,
+            restarts=args.restarts,
         )
         stage = "export"
-        if config.out_labels is not None:
-            export_labels(result.labels, config.out_labels)
-            written.append(config.out_labels)
-        if config.out_w is not None:
-            export_heatmap(W, config.out_w)
-            written.append(config.out_w)
-        if config.out_c is not None:
-            export_heatmap(C, config.out_c)
-            written.append(config.out_c)
-        if config.out_conv is not None:
-            export_convergence(report.history, config.out_conv)
-            written.append(config.out_conv)
-        if config.out_meta is not None:
-            _write_metadata(config.out_meta, config, report, result, k_max_eff)
-            written.append(config.out_meta)
+        for path, export, value in (
+            (args.out_labels, export_labels, result.labels),
+            (args.out_w, export_heatmap, W),
+            (args.out_c, export_heatmap, C),
+            (args.out_conv, export_convergence, report.history),
+        ):
+            if path is not None:
+                export(value, path)
+                written.append(path)
+        if args.out_meta is not None:
+            effective = dict(vars(args), mu=report.mu, rho=report.rho, k_max=k_max)
+            _write_metadata(args.out_meta, effective, report, result)
+            written.append(args.out_meta)
     except (ConfigError, DivergenceError, InputError, OSError) as exc:
         for path in written:
             try:
@@ -379,13 +279,17 @@ def run(config):
 
 
 def main(argv=None):
-    args = build_parser().parse_args(argv)
+    """Parse flags over config-file values over defaults, then run."""
+    parser = build_parser()
     try:
-        config = build_config(args)
+        args = parser.parse_args(argv)
+        if args.config is not None:
+            parser.set_defaults(**load_config_file(args.config))
+            args = parser.parse_args(argv)
     except ConfigError as exc:
         print(f"ssclust: config: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    return run(config)
+    return run(args)
 
 
 if __name__ == "__main__":

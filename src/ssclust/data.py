@@ -27,16 +27,6 @@ class Frame:
 
 
 @dataclass
-class FrameSet:
-    """Ordered frames with uniform dimensions."""
-
-    frames: list
-
-    def __len__(self):
-        return len(self.frames)
-
-
-@dataclass
 class SyntheticDataset:
     """Union-of-subspaces sample with ground truth."""
 
@@ -125,7 +115,7 @@ def load_frame(path):
 
 
 def load_frames(paths):
-    """Load a list of PGM paths into a FrameSet (uniform dimensions)."""
+    """Load a list of PGM paths into a list of Frames of uniform dimensions."""
     if not paths:
         raise InputError("no frame files given")
     frames = []
@@ -138,14 +128,14 @@ def load_frames(paths):
             f"{f.path} ({f.width}x{f.height})" for f in frames
         )
         raise InputError(f"frames differ in dimensions: {offenders}")
-    return FrameSet(frames)
+    return frames
 
 
-def frames_to_matrix(frameset, normalize=True):
+def frames_to_matrix(frames, normalize=True):
     """Stack frames as columns; optionally scale columns to unit l2 norm."""
-    if not frameset.frames:
+    if not frames:
         raise InputError("empty frame set")
-    Y = np.column_stack([f.pixels for f in frameset.frames])
+    Y = np.column_stack([f.pixels for f in frames])
     if normalize:
         Y = normalize_columns(Y)
     return Y

@@ -18,8 +18,6 @@ class ProjectionMatrix:
     """Seeded Gaussian sketching matrix (m x D)."""
 
     values: np.ndarray
-    m: int
-    D: int
     seed: int
 
 
@@ -44,7 +42,7 @@ def gaussian_matrix(m, D, seed):
         raise InputError(f"need 1 <= m <= D, got m={m}, D={D}")
     rng = np.random.default_rng(seed)
     values = rng.normal(0.0, 1.0 / np.sqrt(m), size=(m, D))
-    return ProjectionMatrix(values=values, m=m, D=D, seed=seed)
+    return ProjectionMatrix(values=values, seed=seed)
 
 
 def project(G, Y):

@@ -88,6 +88,11 @@ def estimate_num_clusters(eigenvalues, k_max):
     return int(np.argmax(gaps)) + 1
 
 
+def default_k_max(n):
+    """Largest candidate cluster count for N points when none is given."""
+    return min(n - 1, 15)
+
+
 def kmeans(points, k, seed=0, restarts=10):
     """Best-of-restarts Lloyd iterations with distance-weighted seeding.
 
@@ -170,7 +175,7 @@ def cluster(W, k_override=None, seed=0, k_max=None, restarts=10):
     seed : int
         Base seed of the k-means restarts.
     k_max : int, optional
-        Largest candidate cluster count; defaults to min(N - 1, 15).
+        Largest candidate cluster count; defaults to default_k_max(N).
     restarts : int
         Number of k-means restarts.
 
@@ -190,7 +195,7 @@ def cluster(W, k_override=None, seed=0, k_max=None, restarts=10):
         k = int(k_override)
     else:
         if k_max is None:
-            k_max = min(n - 1, 15)
+            k_max = default_k_max(n)
         k = estimate_num_clusters(eigenvalues, k_max)
     embedding = eigenvectors[:, :k]
     rows = np.linalg.norm(embedding, axis=1)
@@ -202,3 +207,36 @@ def cluster(W, k_override=None, seed=0, k_max=None, restarts=10):
         labels=labels,
         embedding=embedding,
     )
+
+
+def compare_partitions(labels_a, labels_b):
+    """Fraction of point pairs on which two partitions agree (Rand index).
+
+    A pair agrees when both partitions put it in one cluster or both
+    split it.  Invariant under relabeling; 1.0 for identical partitions.
+    Counted from the label contingency table, in O(N + K_a K_b) memory.
+    """
+    labels_a = np.asarray(labels_a)
+    labels_b = np.asarray(labels_b)
+    if labels_a.shape != labels_b.shape or labels_a.ndim != 1:
+        raise InputError(
+            f"label vectors must match, got {labels_a.shape} and {labels_b.shape}"
+        )
+    n = labels_a.size
+    if n < 2:
+        return 1.0
+    _, a = np.unique(labels_a, return_inverse=True)
+    _, b = np.unique(labels_b, return_inverse=True)
+    ka, kb = a.max() + 1, b.max() + 1
+    table = np.bincount(a * kb + b, minlength=ka * kb).reshape(ka, kb)
+
+    def pairs(counts):
+        return int((counts * (counts - 1)).sum()) // 2
+
+    together_both = pairs(table)
+    together_a = pairs(table.sum(axis=1))
+    together_b = pairs(table.sum(axis=0))
+    total = n * (n - 1) // 2
+    # split in both = total - together_a - together_b + together_both
+    agree = total - together_a - together_b + 2 * together_both
+    return agree / total

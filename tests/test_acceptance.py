@@ -11,18 +11,24 @@ from ssclust import (
     SolverConfig,
     build_affinity,
     cluster,
+    compare_partitions,
     gaussian_matrix,
     jl_distortion,
     load_frame,
     normalized_laplacian,
     project,
-    soft_threshold,
     solve_ssc,
     symmetric_eigendecomposition,
     synth_union_of_subspaces,
 )
-from ssclust.admm import FactorizationCache, SolverState, objective_value, update_a
-from ssclust.cli import compare_partitions, main
+from ssclust.admm import (
+    FactorizationCache,
+    SolverState,
+    objective_value,
+    soft_threshold,
+    update_a,
+)
+from ssclust.cli import main
 from ssclust.data import export_heatmap
 
 

@@ -8,22 +8,24 @@ import oracles
 from ssclust import (
     ConfigError,
     DivergenceError,
-    FactorizationCache,
     InputError,
     SolverConfig,
-    SolverState,
     build_affinity,
     default_mu,
     objective_value,
-    residual_report,
-    soft_threshold,
     solve_ssc,
     synth_union_of_subspaces,
+)
+from ssclust.admm import (
+    FactorizationCache,
+    SolverState,
+    check_data_matrix,
+    residual_report,
+    soft_threshold,
     update_a,
     update_c,
     update_multipliers,
 )
-from ssclust.admm import check_data_matrix
 
 
 def test_soft_threshold_scalar_examples():

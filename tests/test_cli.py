@@ -1,6 +1,7 @@
 """Command-line pipeline tests: flag parsing, config files, exit codes,
 artifact cleanup, determinism, and metadata reproduction."""
 
+import os
 import subprocess
 import sys
 
@@ -8,7 +9,8 @@ import numpy as np
 import pytest
 
 import oracles
-from ssclust import FrameSet, InputError, load_frame
+import ssclust
+from ssclust import InputError, compare_partitions, load_frame
 from ssclust.cli import (
     EXIT_CONFIG,
     EXIT_DIVERGED,
@@ -16,7 +18,6 @@ from ssclust.cli import (
     EXIT_IO,
     EXIT_OK,
     ConfigError,
-    compare_partitions,
     load_config_file,
     main,
     parse_project_spec,
@@ -55,9 +56,9 @@ def test_load_config_file(tmp_path):
         "normalize=true\n"
     )
     values = load_config_file(str(cfg))
-    assert values["synth"] == "3,2,50,8,0.0,7"
-    assert values["max_iter"] == "300"  # hyphens normalize to underscores
-    assert values["normalize"] == "true"
+    assert values["synth"] == (3, 2, 50, 8, 0.0, 7)
+    assert values["max_iter"] == 300  # hyphens normalize to underscores
+    assert values["normalize"] is True
 
 
 def test_load_config_file_errors(tmp_path):
@@ -77,8 +78,9 @@ def test_load_config_file_errors(tmp_path):
 
 def test_config_file_bad_value_exits_config(tmp_path):
     cfg = tmp_path / "run.cfg"
-    cfg.write_text("synth=2,2,20,4,0.0,0\nmax_iter=soon\n")
-    assert main(["--config", str(cfg)]) == EXIT_CONFIG
+    for bad in ("max_iter=soon", "normalize=yes"):
+        cfg.write_text(f"synth=2,2,20,4,0.0,0\n{bad}\n")
+        assert main(["--config", str(cfg)]) == EXIT_CONFIG
 
 
 def test_command_line_beats_config_file(tmp_path):
@@ -102,10 +104,11 @@ def test_compare_partitions_examples():
 
 def test_compare_partitions_matches_oracle():
     rng = np.random.default_rng(20)
-    for _ in range(10):
-        n = int(rng.integers(3, 12))
-        a = rng.integers(0, 3, size=n)
-        b = rng.integers(0, 3, size=n)
+    sizes = [(int(rng.integers(3, 12)), 3) for _ in range(10)]
+    sizes += [(int(rng.integers(100, 400)), int(rng.integers(2, 11))) for _ in range(3)]
+    for n, k in sizes:
+        a = rng.integers(0, k, size=n)
+        b = rng.integers(0, k, size=n)
         assert compare_partitions(a, b) == pytest.approx(
             oracles.pair_counting_agreement(list(a), list(b))
         )
@@ -215,6 +218,49 @@ def test_metadata_reproduces_run(tmp_path):
     assert (first / "conv.csv").read_bytes() == (second / "conv.csv").read_bytes()
 
 
+def test_metadata_replays_every_flag(tmp_path):
+    outputs = ("labels.csv", "w.pgm", "c.pgm", "conv.csv", "meta.txt")
+    flags = ("--out-labels", "--out-w", "--out-c", "--out-conv", "--out-meta")
+
+    def out_args(d):
+        d.mkdir()
+        return [x for pair in zip(flags, (str(d / o) for o in outputs)) for x in pair]
+
+    first = tmp_path / "first"
+    code = main(
+        [
+            "--synth", "3,2,50,8,0.0,7",
+            "--normalize",
+            "--project", "30,2",
+            "--mu", "40.0",
+            "--rho", "30.0",
+            "--max-iter", "150",
+            "--tol-primal", "1e-3",
+            "--tol-change", "1e-3",
+            "--k", "3",
+            "--k-max", "5",
+            "--spectral-seed", "4",
+            "--restarts", "3",
+        ]
+        + out_args(first)
+    )
+    assert code == EXIT_OK
+    record = (first / "meta.txt").read_text()
+    for line in ("normalize=true", "project=30,2", "rho=30.0", "k=3", "k_max=5"):
+        assert line + "\n" in record
+    second = tmp_path / "second"
+    code = main(["--config", str(first / "meta.txt")] + out_args(second))
+    assert code == EXIT_OK
+    for name in outputs[:-1]:
+        assert (first / name).read_bytes() == (second / name).read_bytes()
+
+    def settings(d):
+        lines = (d / "meta.txt").read_text().splitlines()
+        return [line for line in lines if not line.startswith("out_")]
+
+    assert settings(first) == settings(second)
+
+
 def test_pipeline_blocks_example(tmp_path):
     labels_path = tmp_path / "labels.csv"
     w_path = tmp_path / "w.pgm"
@@ -263,10 +309,14 @@ def test_k_override_flag(tmp_path):
 
 
 def test_console_entry_point():
+    # the child must import the same package as this process, installed or not
+    src = os.path.dirname(os.path.dirname(ssclust.__file__))
+    path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
     proc = subprocess.run(
         [sys.executable, "-m", "ssclust", "--help"],
         capture_output=True,
         text=True,
+        env=dict(os.environ, PYTHONPATH=path),
     )
     assert proc.returncode == 0
     assert "--synth" in proc.stdout

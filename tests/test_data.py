@@ -7,7 +7,6 @@ import pytest
 import oracles
 from ssclust import (
     Frame,
-    FrameSet,
     FormatError,
     InputError,
     export_convergence,
@@ -115,7 +114,7 @@ def test_frames_to_matrix_full_resolution_shape():
     frames = [
         Frame(f"f{i}", 144, 144, rng.uniform(size=144 * 144)) for i in range(24)
     ]
-    Y = frames_to_matrix(FrameSet(frames), normalize=False)
+    Y = frames_to_matrix(frames, normalize=False)
     assert Y.shape == (20736, 24)
     assert np.array_equal(Y[:, 3], frames[3].pixels)
 
@@ -135,7 +134,7 @@ def test_frames_to_matrix_zero_column_normalize():
         Frame("z", 2, 1, np.zeros(2)),
         Frame("u", 2, 1, np.array([3.0, 4.0])),
     ]
-    Y = frames_to_matrix(FrameSet(frames), normalize=True)
+    Y = frames_to_matrix(frames, normalize=True)
     assert np.array_equal(Y[:, 0], [0.0, 0.0])
     assert np.linalg.norm(Y[:, 1]) == pytest.approx(1.0)
 

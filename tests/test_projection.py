@@ -10,19 +10,19 @@ from ssclust import (
     SolverConfig,
     build_affinity,
     cluster,
+    compare_partitions,
     gaussian_matrix,
     jl_distortion,
     project,
     solve_ssc,
     synth_union_of_subspaces,
 )
-from ssclust.cli import compare_partitions
 
 
 def test_gaussian_matrix_tall_sketch_shape():
     G = gaussian_matrix(1000, 20736, 3)
     assert G.values.shape == (1000, 20736)
-    assert G.m == 1000 and G.D == 20736 and G.seed == 3
+    assert G.seed == 3
 
 
 def test_gaussian_matrix_deterministic():
@@ -56,11 +56,11 @@ def test_project_shapes_and_hand_case():
     G = gaussian_matrix(1000, 20736, 0)
     assert project(G, Y).shape == (1000, 24)
 
-    G2 = ProjectionMatrix(values=np.array([[1.0, 0.0], [0.0, 2.0]]), m=2, D=2, seed=0)
+    G2 = ProjectionMatrix(values=np.array([[1.0, 0.0], [0.0, 2.0]]), seed=0)
     out = project(G2, np.array([[3.0], [4.0]]))
     assert np.array_equal(out, [[3.0], [8.0]])
 
-    Gz = ProjectionMatrix(values=np.zeros((1, 5)), m=1, D=5, seed=0)
+    Gz = ProjectionMatrix(values=np.zeros((1, 5)), seed=0)
     assert np.array_equal(project(Gz, rng.normal(size=(5, 3))), np.zeros((1, 3)))
 
 
