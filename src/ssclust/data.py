@@ -1,10 +1,15 @@
 """Data ingestion, synthetic datasets, and file exports.
 
-Frames are grayscale PGM images (P2 ascii or P5 binary); each frame
-becomes one column of the data matrix.  Synthetic datasets sample a
-union of random low-dimensional subspaces with ground-truth labels.
-Heatmaps are written as P5 PGM magnitude maps, labels and convergence
-histories as CSV.
+Frames are grayscale PGM images (P2 ascii or P5 binary, maxval 1..65535,
+two-byte big-endian P5 samples above 255); each frame becomes one column
+of the data matrix.  Whitespace is space, TAB, CR and LF, and '#' starts a
+comment that runs to the end of the line, in the header and in a P2 body.
+A P2 body holds exactly width*height decimal values; a P5 payload follows
+one whitespace byte after maxval.  A malformed frame raises FormatError
+naming the file, the field and the byte offset where reading stopped.
+Synthetic datasets sample a union of random low-dimensional subspaces
+with ground-truth labels.  Heatmaps are written as P5 PGM magnitude maps,
+labels and convergence histories as CSV.
 """
 
 import re
@@ -16,6 +21,14 @@ from .errors import FormatError, InputError
 
 MAX_BASIS_RETRIES = 100
 SEPARATION_COSINE = 0.9
+PIXEL_DIGITS = 9  # every 9-digit decimal fits in uint32
+
+# The alternatives start with different bytes and nothing follows the
+# repeats, so a match runs in one pass and never backtracks.
+_SKIP = re.compile(rb"(?:[ \t\r\n]+|#[^\r\n]*)*")
+_TOKEN = re.compile(rb"[^ \t\r\n#]+")
+_P2_BODY = re.compile(rb"(?:[0-9 \t\r\n]+|#[^\r\n]*)*")
+_COMMENT = re.compile(rb"#[^\r\n]*")
 
 
 @dataclass
@@ -36,81 +49,59 @@ class SyntheticDataset:
     noise_sigma: float
 
 
-class _PgmReader:
-    """Tokenizer over PGM bytes that remembers the current offset."""
-
-    def __init__(self, data, path):
-        self.data = data
-        self.pos = 0
-        self.path = path
-
-    def fail(self, message):
-        raise FormatError(f"{self.path}: {message} (at byte offset {self.pos})")
-
-    def token(self):
-        # skip whitespace and '#' comments, then read one ascii token
-        while self.pos < len(self.data):
-            b = self.data[self.pos]
-            if b in b" \t\r\n":
-                self.pos += 1
-            elif b == ord("#"):
-                while self.pos < len(self.data) and self.data[self.pos] not in b"\r\n":
-                    self.pos += 1
-            else:
-                break
-        if self.pos >= len(self.data):
-            self.fail("unexpected end of header")
-        start = self.pos
-        while self.pos < len(self.data) and self.data[self.pos] not in b" \t\r\n":
-            self.pos += 1
-        return self.data[start : self.pos]
-
-    def int_token(self, name):
-        tok = self.token()
-        if not re.fullmatch(rb"\d+", tok):
-            self.fail(f"expected integer {name}, got {tok!r}")
-        return int(tok)
-
-
 def load_frame(path):
     """Read one PGM file; returns (width, height, pixels in [0, 1])."""
     with open(path, "rb") as fh:
         data = fh.read()
-    reader = _PgmReader(data, str(path))
-    magic = reader.token()
-    if magic not in (b"P2", b"P5"):
-        reader.fail(f"unsupported magic number {magic!r}, expected P2 or P5")
-    width = reader.int_token("width")
-    height = reader.int_token("height")
-    maxval = reader.int_token("maxval")
-    if maxval == 0:
-        reader.fail("maxval is 0")
-    if maxval > 65535:
-        reader.fail(f"maxval {maxval} exceeds 65535")
+
+    def fail(message, offset):
+        raise FormatError(f"{path}: {message} (at byte offset {offset})")
+
+    header = []
+    pos = 0
+    for name in ("magic", "width", "height", "maxval"):
+        pos = _SKIP.match(data, pos).end()
+        token = _TOKEN.match(data, pos)
+        if token is None:
+            fail(f"unexpected end of header, expected {name}", pos)
+        if name == "magic":
+            if token[0] not in (b"P2", b"P5"):
+                fail(f"unsupported magic number {token[0]!r}, expected P2 or P5", pos)
+        elif not token[0].isdigit():
+            fail(f"expected integer {name}, got {token[0]!r}", pos)
+        header.append(token[0])
+        pos = token.end()
+    magic = header[0]
+    width, height, maxval = map(int, header[1:])
+    if not 1 <= maxval <= 65535:
+        fail(f"maxval {maxval} outside 1..65535", pos)
     count = width * height
 
     if magic == b"P2":
-        values = np.empty(count, dtype=np.uint32)
-        for i in range(count):
-            values[i] = reader.int_token(f"pixel {i}")
+        bad = _P2_BODY.match(data, pos).end()
+        if bad < len(data):
+            fail(f"expected a decimal pixel value, got {data[bad:bad + 1]!r}", bad)
+        tokens = _COMMENT.sub(b"", data[pos:]).split()
+        # the count check comes first, so a huge header allocates nothing
+        if len(tokens) != count:
+            fail(f"expected {count} pixel values, got {len(tokens)}", pos)
+        if max(map(len, tokens), default=0) > PIXEL_DIGITS:
+            fail(f"pixel value longer than {PIXEL_DIGITS} digits", pos)
+        values = np.array(tokens, dtype=np.uint32)
     else:
-        # single whitespace byte separates the header from the payload
-        if reader.pos >= len(data) or data[reader.pos] not in b" \t\r\n":
-            reader.fail("missing whitespace before binary payload")
-        reader.pos += 1
-        per_sample = 1 if maxval < 256 else 2
-        need = count * per_sample
-        payload = data[reader.pos : reader.pos + need]
+        # a single whitespace byte separates the header from the payload
+        if data[pos : pos + 1] not in (b" ", b"\t", b"\r", b"\n"):
+            fail("missing whitespace before binary payload", pos)
+        pos += 1
+        dtype = np.dtype(np.uint8 if maxval < 256 else ">u2")
+        need = count * dtype.itemsize
+        payload = data[pos : pos + need]
         if len(payload) < need:
-            raise FormatError(
-                f"{path}: truncated payload, expected {need} bytes, "
-                f"got {len(payload)} (at byte offset {reader.pos})"
-            )
-        dtype = np.uint8 if per_sample == 1 else np.dtype(">u2")
-        values = np.frombuffer(payload, dtype=dtype).astype(np.uint32)
+            fail(f"truncated payload, expected {need} bytes, got {len(payload)}", pos)
+        values = np.frombuffer(payload, dtype=dtype)
 
     if values.max(initial=0) > maxval:
-        reader.fail(f"pixel value exceeds maxval {maxval}")
+        fail(f"pixel value exceeds maxval {maxval}", pos)
     return width, height, values.astype(float) / float(maxval)
 
 
@@ -131,14 +122,11 @@ def load_frames(paths):
     return frames
 
 
-def frames_to_matrix(frames, normalize=True):
-    """Stack frames as columns; optionally scale columns to unit l2 norm."""
+def frames_to_matrix(frames):
+    """Stack frames as the columns of the data matrix."""
     if not frames:
         raise InputError("empty frame set")
-    Y = np.column_stack([f.pixels for f in frames])
-    if normalize:
-        Y = normalize_columns(Y)
-    return Y
+    return np.column_stack([f.pixels for f in frames])
 
 
 def normalize_columns(Y):

@@ -67,17 +67,20 @@ def jl_distortion(Y, Y_proj):
     if n < 2:
         raise InputError("need at least two columns")
 
-    iu, ju = np.triu_indices(n, k=1)
-    orig = np.linalg.norm(Y[:, iu] - Y[:, ju], axis=0)
-    proj = np.linalg.norm(Y_proj[:, iu] - Y_proj[:, ju], axis=0)
+    # imported here: at module level it slows every `ssclust` start by ~0.13 s
+    from scipy.spatial.distance import pdist
+
+    # pdist takes differences before norms, so duplicate columns give exactly 0
+    orig = pdist(Y.T)
+    proj = pdist(Y_proj.T)
     nz = orig > 0
     skipped = int(np.count_nonzero(~nz))
     ratios = proj[nz] / orig[nz]
     if ratios.size == 0:
-        return DistortionReport(0.0, 0.0, pair_count=len(iu), skipped_pairs=skipped)
+        return DistortionReport(0.0, 0.0, pair_count=orig.size, skipped_pairs=skipped)
     return DistortionReport(
         max_expansion=max(float(ratios.max()) - 1.0, 0.0),
         max_contraction=max(1.0 - float(ratios.min()), 0.0),
-        pair_count=len(iu),
+        pair_count=orig.size,
         skipped_pairs=skipped,
     )

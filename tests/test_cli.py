@@ -308,15 +308,35 @@ def test_k_override_flag(tmp_path):
     assert "k=2\n" in meta_path.read_text()
 
 
-def test_console_entry_point():
-    # the child must import the same package as this process, installed or not
+def run_module(*args):
+    """Run `python -m ssclust` in a child that imports this process's package."""
     src = os.path.dirname(os.path.dirname(ssclust.__file__))
     path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
-    proc = subprocess.run(
-        [sys.executable, "-m", "ssclust", "--help"],
+    return subprocess.run(
+        [sys.executable, "-m", "ssclust", *args],
         capture_output=True,
         text=True,
         env=dict(os.environ, PYTHONPATH=path),
     )
+
+
+def test_console_entry_point():
+    proc = run_module("--help")
     assert proc.returncode == 0
     assert "--synth" in proc.stdout
+
+
+@pytest.mark.parametrize(
+    "content",
+    [
+        b"P2\n100000 100000\n255\n0\n",  # a header far larger than the file
+        b"P2\n1 1\n255\n99999999999999999999\n",  # a pixel past uint64
+    ],
+    ids=["huge-header", "huge-pixel"],
+)
+def test_hostile_pgm_exits_input_without_traceback(tmp_path, content):
+    (tmp_path / "hostile.pgm").write_bytes(content)
+    proc = run_module("--frames", str(tmp_path / "*.pgm"))
+    assert proc.returncode == EXIT_INPUT
+    assert proc.stderr.startswith("ssclust: ingest: ")
+    assert "Traceback" not in proc.stderr

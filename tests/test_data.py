@@ -1,8 +1,11 @@
-"""I/O and generator tests: PGM parsing with exact error offsets, matrix
+"""I/O and generator tests: PGM parsing (round trips of generated files,
+fuzzed bytes, and the byte offset each format error names), matrix
 assembly, the synthetic union-of-subspaces sampler, and CSV exports."""
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import oracles
 from ssclust import (
@@ -97,6 +100,100 @@ def test_load_frame_non_numeric_token(tmp_path):
     assert "width" in str(err.value)
 
 
+@pytest.mark.parametrize(
+    "content, message, offset",
+    [
+        (b"P3\n1 1\n255\n0\n", "magic", 0),
+        (b"P2\ntwo 1\n255\n0\n", "width", 3),
+        (b"P2 # c\n2", "height", 8),
+        (b"P2\n# c\n2 1\n255\n0 x\n", "pixel value", 17),
+        (b"P2\n1 1\n255\n\x0b0\n", "pixel value", 11),
+        (b"P2\n2 1\n255\n0\n", "expected 2 pixel values, got 1", 10),
+        (b"P2\n100000 100000\n255\n0\n", "expected 10000000000 pixel values", 20),
+        (b"P2\n1 1\n255\n99999999999999999999\n", "digits", 10),
+        (b"P5\n1 1\n255#\n\x00", "whitespace", 10),
+        (b"P5\n2 2\n255\n\x01\x02", "expected 4 bytes, got 2", 11),
+    ],
+)
+def test_load_frame_error_offsets(tmp_path, content, message, offset):
+    p = tmp_path / "bad.pgm"
+    p.write_bytes(content)
+    with pytest.raises(FormatError) as err:
+        load_frame(str(p))
+    msg = str(err.value)
+    assert str(p) in msg and message in msg
+    assert msg.endswith(f"(at byte offset {offset})")
+
+
+SPACE = st.text(" \t\r\n", max_size=3)
+COMMENT = st.builds(
+    lambda body, end: "#" + body + end,
+    st.text(st.characters(min_codepoint=32, max_codepoint=126), max_size=6),
+    st.sampled_from(["\n", "\r"]),
+)
+# whitespace, or a comment with optional whitespace around it
+SEPARATOR = st.one_of(
+    st.text(" \t\r\n", min_size=1, max_size=3),
+    st.builds(lambda a, c, b: a + c + b, SPACE, COMMENT, SPACE),
+)
+
+
+@pytest.fixture(scope="module")
+def pgm_path(tmp_path_factory):
+    """One file that every generated example overwrites."""
+    return tmp_path_factory.mktemp("pgm") / "f.pgm"
+
+
+@st.composite
+def pgm_files(draw):
+    """A P2 or P5 file with comments and mixed whitespace, and its pixels."""
+    magic = draw(st.sampled_from(["P2", "P5"]))
+    width, height = draw(st.integers(1, 5)), draw(st.integers(1, 5))
+    maxval = draw(st.one_of(st.integers(1, 255), st.integers(256, 65535)))
+    pixels = draw(
+        st.lists(st.integers(0, maxval), min_size=width * height, max_size=width * height)
+    )
+    header = magic
+    for value in (width, height, maxval):
+        header += draw(SEPARATOR) + str(value)
+    if magic == "P5":
+        dtype = np.uint8 if maxval < 256 else ">u2"
+        payload = np.array(pixels, dtype=dtype).tobytes()
+        content = (header + draw(st.sampled_from(" \t\r\n"))).encode() + payload
+    else:
+        body = "".join(draw(SEPARATOR) + str(v) for v in pixels)
+        content = (header + body + draw(SPACE)).encode()
+    return content, width, height, maxval, pixels
+
+
+@settings(max_examples=200, deadline=None)
+@given(pgm_files())
+def test_load_frame_roundtrips_generated_files(pgm_path, case):
+    content, width, height, maxval, pixels = case
+    pgm_path.write_bytes(content)
+    got = load_frame(str(pgm_path))
+    assert got[:2] == (width, height)
+    assert np.array_equal(got[2], np.array(pixels, dtype=float) / float(maxval))
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.sampled_from([b"P2", b"P5", b"P2 3 2 255\n", b"P5 3 2 255\n", b"P5\n2 1\n65535\n"]),
+    st.one_of(
+        st.binary(max_size=64),
+        st.text(" \t\r\n#0123456789P", max_size=64).map(str.encode),
+    ),
+)
+def test_load_frame_any_bytes_give_frame_or_format_error(pgm_path, prefix, rest):
+    pgm_path.write_bytes(prefix + rest)
+    try:
+        width, height, pixels = load_frame(str(pgm_path))
+    except FormatError:
+        return
+    assert pixels.shape == (width * height,)
+    assert np.all((pixels >= 0.0) & (pixels <= 1.0))
+
+
 def test_load_frames_dimension_mismatch(tmp_path):
     a = write_p2(tmp_path / "a.pgm", "P2\n1 1\n255\n0\n")
     b = write_p2(tmp_path / "b.pgm", "P2\n2 1\n255\n0 0\n")
@@ -114,7 +211,7 @@ def test_frames_to_matrix_full_resolution_shape():
     frames = [
         Frame(f"f{i}", 144, 144, rng.uniform(size=144 * 144)) for i in range(24)
     ]
-    Y = frames_to_matrix(frames, normalize=False)
+    Y = frames_to_matrix(frames)
     assert Y.shape == (20736, 24)
     assert np.array_equal(Y[:, 3], frames[3].pixels)
 
@@ -123,20 +220,10 @@ def test_frames_to_matrix_from_files(tmp_path):
     a = write_p2(tmp_path / "a.pgm", "P2\n2 2\n255\n0 255 128 64\n")
     b = tmp_path / "b.pgm"
     b.write_bytes(b"P5\n2 2\n255\n" + bytes([0, 255, 128, 64]))
-    Y = frames_to_matrix(load_frames([a, str(b)]), normalize=False)
+    Y = frames_to_matrix(load_frames([a, str(b)]))
     assert Y.shape == (4, 2)
     # identical content through both formats gives identical columns
     assert np.array_equal(Y[:, 0], Y[:, 1])
-
-
-def test_frames_to_matrix_zero_column_normalize():
-    frames = [
-        Frame("z", 2, 1, np.zeros(2)),
-        Frame("u", 2, 1, np.array([3.0, 4.0])),
-    ]
-    Y = frames_to_matrix(frames, normalize=True)
-    assert np.array_equal(Y[:, 0], [0.0, 0.0])
-    assert np.linalg.norm(Y[:, 1]) == pytest.approx(1.0)
 
 
 def test_normalize_columns():
@@ -146,6 +233,14 @@ def test_normalize_columns():
     assert np.array_equal(out[:, 1], [0.0, 0.0])
     # input is not modified in place
     assert Y[0, 0] == 3.0
+    # stacked frames, as the command line normalizes them; a zero frame passes
+    frames = [
+        Frame("z", 2, 1, np.zeros(2)),
+        Frame("u", 2, 1, np.array([3.0, 4.0])),
+    ]
+    Y = normalize_columns(frames_to_matrix(frames))
+    assert np.array_equal(Y[:, 0], [0.0, 0.0])
+    assert np.linalg.norm(Y[:, 1]) == pytest.approx(1.0)
 
 
 def test_synth_shapes_and_membership():
