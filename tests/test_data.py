@@ -226,14 +226,8 @@ def test_frames_to_matrix_from_files(tmp_path):
     assert np.array_equal(Y[:, 0], Y[:, 1])
 
 
-def test_normalize_columns():
-    Y = np.array([[3.0, 0.0], [4.0, 0.0]])
-    out = normalize_columns(Y)
-    assert np.allclose(np.linalg.norm(out[:, 0]), 1.0)
-    assert np.array_equal(out[:, 1], [0.0, 0.0])
-    # input is not modified in place
-    assert Y[0, 0] == 3.0
-    # stacked frames, as the command line normalizes them; a zero frame passes
+def test_frames_to_matrix_zero_column_normalize():
+    # stacked frames, normalized as the command line does; a zero frame passes
     frames = [
         Frame("z", 2, 1, np.zeros(2)),
         Frame("u", 2, 1, np.array([3.0, 4.0])),
@@ -241,6 +235,15 @@ def test_normalize_columns():
     Y = normalize_columns(frames_to_matrix(frames))
     assert np.array_equal(Y[:, 0], [0.0, 0.0])
     assert np.linalg.norm(Y[:, 1]) == pytest.approx(1.0)
+
+
+def test_normalize_columns():
+    Y = np.array([[3.0, 0.0], [4.0, 0.0]])
+    out = normalize_columns(Y)
+    assert np.allclose(np.linalg.norm(out[:, 0]), 1.0)
+    assert np.array_equal(out[:, 1], [0.0, 0.0])
+    # input is not modified in place
+    assert Y[0, 0] == 3.0
 
 
 def test_synth_shapes_and_membership():
