@@ -140,7 +140,8 @@ class FactorizationCache:
         return cls(Y.T @ Y, mu, rho)
 
     def solve(self, rhs):
-        return cho_solve(self._factor, rhs)
+        # M was checked finite when factored; the loop checks every iterate
+        return cho_solve(self._factor, rhs, check_finite=False)
 
 
 def default_mu(Y, scale=DEFAULT_MU_SCALE):

@@ -18,7 +18,7 @@ import sys
 from dataclasses import fields
 
 from . import __version__
-from .admm import SolverConfig, solve_ssc
+from .admm import SolverConfig, check_data_matrix, solve_ssc
 from .data import (
     export_convergence,
     export_heatmap,
@@ -179,7 +179,8 @@ def _load_input(args):
     else:
         K, d, D, n_per, sigma, seed = args.synth
         Y = synth_union_of_subspaces(K, d, D, n_per, noise_sigma=sigma, seed=seed).Y
-    return normalize_columns(Y) if args.normalize else Y
+    # a bad shape is the input's fault, so it is reported here, not by the solve
+    return check_data_matrix(normalize_columns(Y) if args.normalize else Y)
 
 
 def _format(value):

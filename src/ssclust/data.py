@@ -131,11 +131,12 @@ def frames_to_matrix(frames):
 
 def normalize_columns(Y):
     """Scale every column to unit l2 norm; zero columns pass through."""
-    Y = np.array(Y, dtype=float)
+    Y = np.asarray(Y, dtype=float)
+    # norms first, so their temporary is freed before the copy is made
     norms = np.linalg.norm(Y, axis=0)
-    nz = norms > 0
-    Y[:, nz] /= norms[nz]
-    return Y
+    out = np.array(Y)
+    np.divide(out, norms, out=out, where=norms > 0)
+    return out
 
 
 def synth_union_of_subspaces(K, d, D, n_per, noise_sigma=0.0, seed=0):

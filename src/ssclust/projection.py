@@ -4,6 +4,11 @@ A seeded m x D Gaussian sketch G (entries N(0, 1/m)) maps the data to a
 lower dimension while nearly preserving pairwise distances, so the
 self-expressive solve can run on G @ Y instead of Y.  The 1/m variance
 makes projected squared distances unbiased estimates of the originals.
+
+G is never held whole: `project` draws it in blocks of BLOCK_ROWS rows
+from the seeded generator and multiplies each block into its rows of
+G @ Y as it is drawn, so the sketch costs one block of memory, not m x D.
+`ProjectionMatrix.values` draws the full matrix on request.
 """
 
 from dataclasses import dataclass
@@ -13,12 +18,38 @@ import numpy as np
 from .errors import InputError
 
 
+# Rows of G drawn and multiplied at a time.  Any block of two or more rows
+# gives a product bit-identical to the dense G @ Y; a single row goes
+# through BLAS gemv, which rounds differently, so a one-row tail is folded
+# into the block before it.
+BLOCK_ROWS = 64
+
+
 @dataclass
 class ProjectionMatrix:
-    """Seeded Gaussian sketching matrix (m x D)."""
+    """Seeded Gaussian sketching matrix (m x D), drawn when it is used."""
 
-    values: np.ndarray
+    m: int
+    D: int
     seed: int
+
+    def blocks(self):
+        """Yield (start, block): consecutive row blocks of G, in fill order."""
+        rng = np.random.default_rng(self.seed)
+        scale = 1.0 / np.sqrt(self.m)
+        start = 0
+        while start < self.m:
+            stop = start + BLOCK_ROWS
+            if stop >= self.m - 1:  # the last block, with a one-row tail folded in
+                stop = self.m
+            yield start, rng.normal(0.0, scale, size=(stop - start, self.D))
+            start = stop
+
+    @property
+    def values(self):
+        """The whole m x D matrix, drawn in one piece."""
+        rng = np.random.default_rng(self.seed)
+        return rng.normal(0.0, 1.0 / np.sqrt(self.m), size=(self.m, self.D))
 
 
 @dataclass
@@ -37,22 +68,23 @@ class DistortionReport:
 
 
 def gaussian_matrix(m, D, seed):
-    """Draw the m x D sketch with iid N(0, 1/m) entries, fixed fill order."""
+    """The m x D sketch with iid N(0, 1/m) entries, fixed fill order."""
     if m < 1 or m > D:
         raise InputError(f"need 1 <= m <= D, got m={m}, D={D}")
-    rng = np.random.default_rng(seed)
-    values = rng.normal(0.0, 1.0 / np.sqrt(m), size=(m, D))
-    return ProjectionMatrix(values=values, seed=seed)
+    return ProjectionMatrix(m=m, D=D, seed=seed)
 
 
 def project(G, Y):
     """Apply the sketch: returns G @ Y with shape (m, N)."""
     Y = np.asarray(Y, dtype=float)
-    if Y.ndim != 2 or G.values.shape[1] != Y.shape[0]:
+    if Y.ndim != 2 or G.D != Y.shape[0]:
         raise InputError(
-            f"projection expects {G.values.shape[1]} rows, got data of shape {Y.shape}"
+            f"projection expects {G.D} rows, got data of shape {Y.shape}"
         )
-    return G.values @ Y
+    out = np.empty((G.m, Y.shape[1]))
+    for start, block in G.blocks():
+        np.matmul(block, Y, out=out[start : start + block.shape[0]])
+    return out
 
 
 def jl_distortion(Y, Y_proj):

@@ -340,3 +340,22 @@ def test_hostile_pgm_exits_input_without_traceback(tmp_path, content):
     assert proc.returncode == EXIT_INPUT
     assert proc.stderr.startswith("ssclust: ingest: ")
     assert "Traceback" not in proc.stderr
+
+
+@pytest.mark.parametrize(
+    "frame, count, extra",
+    [
+        (b"P2\n0 0\n255\n", 2, ()),  # no pixels: D = 0
+        (b"P2\n0 0\n255\n", 2, ("--project", "1,0")),
+        (b"P2\n2 2\n255\n1 2 3 4\n", 1, ()),  # one frame: N = 1
+        (b"P2\n2 2\n255\n1 2 3 4\n", 1, ("--project", "1,0")),
+    ],
+    ids=["empty-frames", "empty-frames-projected", "one-frame", "one-frame-projected"],
+)
+def test_bad_data_shape_exits_input_at_ingest(tmp_path, frame, count, extra):
+    for i in range(count):
+        (tmp_path / f"f{i}.pgm").write_bytes(frame)
+    proc = run_module("--frames", str(tmp_path / "*.pgm"), *extra)
+    assert proc.returncode == EXIT_INPUT
+    assert proc.stderr.startswith("ssclust: ingest: ")
+    assert "Traceback" not in proc.stderr

@@ -2,6 +2,8 @@
 fuzzed bytes, and the byte offset each format error names), matrix
 assembly, the synthetic union-of-subspaces sampler, and CSV exports."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -244,6 +246,18 @@ def test_normalize_columns():
     assert np.array_equal(out[:, 1], [0.0, 0.0])
     # input is not modified in place
     assert Y[0, 0] == 3.0
+
+
+def test_normalize_columns_holds_one_copy():
+    Y = np.random.default_rng(5).normal(size=(20736, 64))
+    tracemalloc.start()
+    try:
+        out = normalize_columns(Y)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.1 * Y.nbytes
+    assert np.array_equal(out, Y / np.linalg.norm(Y, axis=0))
 
 
 def test_synth_shapes_and_membership():

@@ -1,12 +1,13 @@
-"""Sketching tests: generator statistics, determinism, shapes, and the
-distance-distortion report."""
+"""Sketching tests: generator statistics, determinism, shapes, the
+row-block streaming of the sketch, and the distance-distortion report."""
+
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from ssclust import (
     InputError,
-    ProjectionMatrix,
     SolverConfig,
     build_affinity,
     cluster,
@@ -17,6 +18,13 @@ from ssclust import (
     solve_ssc,
     synth_union_of_subspaces,
 )
+from ssclust.projection import BLOCK_ROWS
+
+
+@pytest.fixture(scope="module")
+def tall_data():
+    # the shape of the command line's frame data: 144 x 144 pixels, 64 frames
+    return np.random.default_rng(11).normal(size=(20736, 64))
 
 
 def test_gaussian_matrix_tall_sketch_shape():
@@ -56,12 +64,44 @@ def test_project_shapes_and_hand_case():
     G = gaussian_matrix(1000, 20736, 0)
     assert project(G, Y).shape == (1000, 24)
 
-    G2 = ProjectionMatrix(values=np.array([[1.0, 0.0], [0.0, 2.0]]), seed=0)
-    out = project(G2, np.array([[3.0], [4.0]]))
-    assert np.array_equal(out, [[3.0], [8.0]])
+    # the identity gives back the sketch itself, across block boundaries
+    G2 = gaussian_matrix(2 * BLOCK_ROWS + 1, 300, 4)
+    assert np.array_equal(project(G2, np.eye(300)), G2.values)
+    # zero data projects to exact zeros
+    assert np.array_equal(project(G2, np.zeros((300, 3))), np.zeros((G2.m, 3)))
 
-    Gz = ProjectionMatrix(values=np.zeros((1, 5)), seed=0)
-    assert np.array_equal(project(Gz, rng.normal(size=(5, 3))), np.zeros((1, 3)))
+
+def test_blocks_tile_the_sketch_without_one_row_tails():
+    for m in (1, 2, BLOCK_ROWS, BLOCK_ROWS + 1, BLOCK_ROWS + 2, 2 * BLOCK_ROWS + 1):
+        G = gaussian_matrix(m, 200, 9)
+        blocks = list(G.blocks())
+        starts = [start for start, _ in blocks]
+        sizes = [block.shape[0] for _, block in blocks]
+        assert starts == list(np.cumsum([0] + sizes[:-1]))
+        assert sum(sizes) == m
+        assert m == 1 or min(sizes) >= 2
+        assert np.array_equal(np.vstack([block for _, block in blocks]), G.values)
+
+
+@pytest.mark.parametrize(
+    "m",
+    [1, 2, BLOCK_ROWS - 1, BLOCK_ROWS, BLOCK_ROWS + 1, 2 * BLOCK_ROWS + 1, 1000],
+)
+def test_project_streamed_equals_dense_product(tall_data, m):
+    G = gaussian_matrix(m, tall_data.shape[0], m)
+    assert np.array_equal(project(G, tall_data), G.values @ tall_data)
+
+
+def test_project_never_holds_the_whole_sketch(tall_data):
+    m, D = 1000, tall_data.shape[0]
+    tracemalloc.start()
+    try:
+        out = project(gaussian_matrix(m, D, 0), tall_data)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert out.shape == (m, tall_data.shape[1])
+    assert peak < m * D * 8 / 4
 
 
 def test_project_dimension_mismatch():
