@@ -7,7 +7,10 @@ Solves
 
 by alternating a linear-system update of A, a soft-threshold update of C,
 and gradient-ascent updates of the Lagrange multipliers (delta, Delta).
-The solver is deterministic: identical inputs produce identical iterates.
+The steps take and return plain arrays; `solve_ssc` keeps the iterates as
+locals.  Every C handed to a step has an exactly zero diagonal, because
+`update_c` zeroes it, so the A-update uses C as given.  The solver is
+deterministic: identical inputs produce identical iterates.
 """
 
 from dataclasses import dataclass, field
@@ -15,7 +18,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.linalg import cho_factor, cho_solve
 
-from .errors import ConfigError, DivergenceError, InputError
+from .errors import DivergenceError, InputError
 
 DEFAULT_MU_SCALE = 800.0
 
@@ -33,12 +36,12 @@ def check_data_matrix(Y):
 
 
 def soft_threshold(values, level):
-    """Shrink toward zero: max(|v| - level, 0) * sgn(v), elementwise."""
+    """Shrink toward zero: max(|v| - level, 0) * sgn(v), elementwise.
+
+    A scalar input gives a numpy float64 scalar.
+    """
     v = np.asarray(values, dtype=float)
-    out = np.sign(v) * np.maximum(np.abs(v) - level, 0.0)
-    if np.ndim(values) == 0:
-        return float(out)
-    return out
+    return np.sign(v) * np.maximum(np.abs(v) - level, 0.0)
 
 
 @dataclass
@@ -68,28 +71,6 @@ class SolverConfig:
 
 
 @dataclass
-class SolverState:
-    """One ADMM iterate: primal blocks, multipliers, and residual history."""
-
-    A: np.ndarray
-    C: np.ndarray
-    delta: np.ndarray
-    Delta: np.ndarray
-    iteration: int = 0
-    residuals: list = field(default_factory=list)
-    C_prev: np.ndarray | None = None
-
-    @classmethod
-    def zeros(cls, n):
-        return cls(
-            A=np.zeros((n, n)),
-            C=np.zeros((n, n)),
-            delta=np.zeros(n),
-            Delta=np.zeros((n, n)),
-        )
-
-
-@dataclass
 class SolveReport:
     """Outcome of a solve: convergence flag, final residuals, history."""
 
@@ -113,13 +94,10 @@ class FactorizationCache:
 
     def __init__(self, gram, mu, rho):
         n = gram.shape[0]
-        ones = np.ones((n, n))
-        self.n = n
-        self.mu = mu
         self.rho = rho
         # overflow handled by the finiteness check below, not as a warning
         with np.errstate(over="ignore", invalid="ignore"):
-            self.rhs_const = mu * gram + rho * ones
+            self.rhs_const = mu * gram + rho * np.ones((n, n))
             M = self.rhs_const + rho * np.eye(n)
         if not np.isfinite(M).all():
             raise DivergenceError(
@@ -133,11 +111,6 @@ class FactorizationCache:
                 f"normal matrix is not numerically positive definite ({exc}); "
                 "rho is too small for this data scale"
             )
-
-    @classmethod
-    def from_data(cls, Y, mu, rho):
-        Y = check_data_matrix(Y)
-        return cls(Y.T @ Y, mu, rho)
 
     def solve(self, rhs):
         # M was checked finite when factored; the loop checks every iterate
@@ -157,20 +130,14 @@ def _mu_from_gram(gram, scale):
     return float(scale / coh)
 
 
-def update_a(state, cache):
+def update_a(C, delta, Delta, cache):
     """Minimize the augmented Lagrangian over A with C, delta, Delta fixed.
 
-    Solves M A = mu Y^T Y + rho 1 1^T + rho (C - diag(C)) - 1 delta^T - Delta
-    using the cached factorization of M.
+    Solves M A = mu Y^T Y + rho 1 1^T + rho C - 1 delta^T - Delta using the
+    cached factorization of M.  C must have an exactly zero diagonal (every
+    C from `update_c` has one); it stands in for C - diag(C) as it is.
     """
-
-    n = state.A.shape[0]
-    if cache.n != n:
-        raise ConfigError(
-            f"factorization cache is for N={cache.n}, state has N={n}"
-        )
-    C_zd = state.C - np.diag(np.diag(state.C))
-    rhs = cache.rhs_const + cache.rho * C_zd - state.delta[None, :] - state.Delta
+    rhs = cache.rhs_const + cache.rho * C - delta[None, :] - Delta
     return cache.solve(rhs)
 
 
@@ -183,20 +150,16 @@ def update_c(A_next, Delta, rho):
 
 def update_multipliers(delta, Delta, A_next, C_next, rho):
     """Ascent step on both multipliers from the current constraint residuals."""
-    n = A_next.shape[0]
-    delta_next = delta + rho * (A_next.T @ np.ones(n) - np.ones(n))
+    delta_next = delta + rho * (A_next.T @ np.ones(A_next.shape[0]) - 1.0)
     Delta_next = Delta + rho * (A_next - C_next)
     return delta_next, Delta_next
 
 
-def residual_report(state):
-    """Return (||A^T 1 - 1||_inf, ||A - C||_inf, ||C_k - C_{k-1}||_inf)."""
-    r_affine = np.abs(state.A.sum(axis=0) - 1.0).max()
-    r_split = np.abs(state.A - state.C).max()
-    if state.C_prev is None:
-        r_change = np.inf
-    else:
-        r_change = np.abs(state.C - state.C_prev).max()
+def residual_report(A, C, C_prev):
+    """Return (||A^T 1 - 1||_inf, ||A - C||_inf, ||C - C_prev||_inf)."""
+    r_affine = np.abs(A.sum(axis=0) - 1.0).max()
+    r_split = np.abs(A - C).max()
+    r_change = np.abs(C - C_prev).max()
     return float(r_affine), float(r_split), float(r_change)
 
 
@@ -239,46 +202,33 @@ def solve_ssc(Y, cfg=None):
         rho = float(cfg.rho) if cfg.rho is not None else mu
         cache = FactorizationCache(gram, mu, rho)
 
-    state = SolverState.zeros(n)
+    C = np.zeros((n, n))
+    delta = np.zeros(n)
+    Delta = np.zeros((n, n))
+    history = []
     converged = False
-    for _ in range(cfg.max_iter):
+    for iteration in range(1, cfg.max_iter + 1):
+        C_prev = C
         with np.errstate(over="ignore", invalid="ignore"):
-            state.A = update_a(state, cache)
-            state.C_prev = state.C
-            state.C = update_c(state.A, state.Delta, rho)
-            state.delta, state.Delta = update_multipliers(
-                state.delta, state.Delta, state.A, state.C, rho
-            )
-        state.iteration += 1
-        finite = (
-            np.isfinite(state.A).all()
-            and np.isfinite(state.C).all()
-            and np.isfinite(state.delta).all()
-            and np.isfinite(state.Delta).all()
-        )
-        if not finite:
-            raise DivergenceError(
-                f"non-finite iterate at iteration {state.iteration}"
-            )
-        r_affine, r_split, r_change = residual_report(state)
-        state.residuals.append((r_affine, r_split, r_change))
-        if (
-            r_affine <= cfg.tol_primal
-            and r_split <= cfg.tol_primal
-            and r_change <= cfg.tol_change
-        ):
+            A = update_a(C, delta, Delta, cache)
+            C = update_c(A, Delta, rho)
+            delta, Delta = update_multipliers(delta, Delta, A, C, rho)
+        if not all(np.isfinite(x).all() for x in (A, C, delta, Delta)):
+            raise DivergenceError(f"non-finite iterate at iteration {iteration}")
+        r_affine, r_split, r_change = residual_report(A, C, C_prev)
+        history.append((r_affine, r_split, r_change))
+        if max(r_affine, r_split) <= cfg.tol_primal and r_change <= cfg.tol_change:
             converged = True
             break
 
-    r_affine, r_split, r_change = state.residuals[-1]
     report = SolveReport(
         converged=converged,
-        iterations=state.iteration,
+        iterations=len(history),
         r_affine=r_affine,
         r_split=r_split,
         r_change=r_change,
         mu=mu,
         rho=rho,
-        history=list(state.residuals),
+        history=history,
     )
-    return state.C, report
+    return C, report

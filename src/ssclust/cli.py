@@ -138,7 +138,7 @@ def load_config_file(path):
     try:
         with open(path, "r", encoding="ascii") as fh:
             lines = fh.readlines()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError(f"cannot read config file {path}: {exc}")
     values = {}
     for lineno, raw in enumerate(lines, start=1):

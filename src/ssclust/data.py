@@ -152,7 +152,7 @@ def synth_union_of_subspaces(K, d, D, n_per, noise_sigma=0.0, seed=0):
         raise InputError(f"need 1 <= d < D, got d={d}, D={D}")
     if K < 1 or n_per < 1:
         raise InputError(f"need K >= 1 and n_per >= 1, got K={K}, n_per={n_per}")
-    if noise_sigma < 0:
+    if not noise_sigma >= 0:  # also rejects nan
         raise InputError(f"noise_sigma must be nonnegative, got {noise_sigma}")
 
     rng = np.random.default_rng(seed)

@@ -84,6 +84,9 @@ def project(G, Y):
     out = np.empty((G.m, Y.shape[1]))
     for start, block in G.blocks():
         np.matmul(block, Y, out=out[start : start + block.shape[0]])
+        # freed before the next block is drawn: with two blocks live, the
+        # second sometimes landed in fresh pages and raised peak RSS by a block
+        del block
     return out
 
 

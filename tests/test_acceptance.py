@@ -23,7 +23,6 @@ from ssclust import (
 )
 from ssclust.admm import (
     FactorizationCache,
-    SolverState,
     objective_value,
     soft_threshold,
     update_a,
@@ -99,9 +98,8 @@ def test_a_update_stationarity():
         delta = rng.standard_normal(n)
         Delta = rng.standard_normal((n, n))
         mu, rho = 4.0, 3.0
-        cache = FactorizationCache.from_data(Y, mu, rho)
-        state = SolverState(A=np.zeros((n, n)), C=C, delta=delta, Delta=Delta)
-        A = update_a(state, cache)
+        cache = FactorizationCache(Y.T @ Y, mu, rho)
+        A = update_a(C, delta, Delta, cache)
         grad = oracles.fd_gradient_wrt_a(Y, A, C, delta, Delta, mu, rho)
         worst = max(worst, float(np.abs(grad).max()))
     ok = worst <= 1e-6

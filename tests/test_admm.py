@@ -6,7 +6,6 @@ import pytest
 
 import oracles
 from ssclust import (
-    ConfigError,
     DivergenceError,
     InputError,
     SolverConfig,
@@ -18,7 +17,6 @@ from ssclust import (
 )
 from ssclust.admm import (
     FactorizationCache,
-    SolverState,
     check_data_matrix,
     residual_report,
     soft_threshold,
@@ -30,6 +28,7 @@ from ssclust.admm import (
 
 def test_soft_threshold_scalar_examples():
     assert soft_threshold(1.2, 0.5) == pytest.approx(0.7)
+    assert isinstance(soft_threshold(1.2, 0.5), np.float64)
     assert soft_threshold(-0.3, 0.5) == 0.0
     # s = 0 is the identity on any finite value
     for v in (-4.0, -0.1, 0.0, 2.5, 1e9):
@@ -102,12 +101,10 @@ def test_default_mu_scaling():
 
 
 def _random_state(rng, n):
-    state = SolverState.zeros(n)
-    state.C = rng.normal(size=(n, n))
-    np.fill_diagonal(state.C, 0.0)
-    state.delta = rng.normal(size=n)
-    state.Delta = rng.normal(size=(n, n))
-    return state
+    """A zero-diagonal C and random multipliers (delta, Delta)."""
+    C = rng.normal(size=(n, n))
+    np.fill_diagonal(C, 0.0)
+    return C, rng.normal(size=n), rng.normal(size=(n, n))
 
 
 def test_update_a_fixed_point_at_feasible_c():
@@ -119,10 +116,8 @@ def test_update_a_fixed_point_at_feasible_c():
     C = np.zeros((4, 4))
     C[1, 0] = C[0, 1] = 1.0
     C[3, 2] = C[2, 3] = 1.0
-    state = SolverState.zeros(4)
-    state.C = C
-    cache = FactorizationCache.from_data(Y, mu=1.0, rho=1.0)
-    A = update_a(state, cache)
+    cache = FactorizationCache(Y.T @ Y, mu=1.0, rho=1.0)
+    A = update_a(C, np.zeros(4), np.zeros((4, 4)), cache)
     assert np.allclose(A, C, atol=1e-10)
 
 
@@ -132,12 +127,12 @@ def test_update_a_matches_dense_solve():
         n = int(rng.integers(3, 9))
         d = int(rng.integers(2, 7))
         Y = rng.normal(size=(d, n))
-        state = _random_state(rng, n)
+        C, delta, Delta = _random_state(rng, n)
         mu = float(rng.uniform(0.5, 5))
         rho = float(rng.uniform(0.5, 5))
-        cache = FactorizationCache.from_data(Y, mu, rho)
-        A = update_a(state, cache)
-        expected = oracles.dense_a_update(Y, state.C, state.delta, state.Delta, mu, rho)
+        cache = FactorizationCache(Y.T @ Y, mu, rho)
+        A = update_a(C, delta, Delta, cache)
+        expected = oracles.dense_a_update(Y, C, delta, Delta, mu, rho)
         assert np.max(np.abs(A - expected)) <= 1e-10
 
 
@@ -146,25 +141,19 @@ def test_update_a_gradient_vanishes():
     for _ in range(5):
         n = int(rng.integers(3, 7))
         Y = rng.normal(size=(4, n))
-        state = _random_state(rng, n)
+        C, delta, Delta = _random_state(rng, n)
         mu, rho = 1.5, 2.0
-        cache = FactorizationCache.from_data(Y, mu, rho)
-        A = update_a(state, cache)
-        grad = oracles.fd_gradient_wrt_a(Y, A, state.C, state.delta, state.Delta, mu, rho)
+        cache = FactorizationCache(Y.T @ Y, mu, rho)
+        A = update_a(C, delta, Delta, cache)
+        grad = oracles.fd_gradient_wrt_a(Y, A, C, delta, Delta, mu, rho)
         assert np.max(np.abs(grad)) <= 1e-8
-
-
-def test_update_a_dimension_mismatch():
-    cache = FactorizationCache.from_data(np.eye(4), mu=1.0, rho=1.0)
-    with pytest.raises(ConfigError):
-        update_a(SolverState.zeros(3), cache)
 
 
 def test_factorization_cache_solves_the_normal_system():
     rng = np.random.default_rng(23)
     Y = rng.normal(size=(5, 6))
     mu, rho = 2.0, 3.0
-    cache = FactorizationCache.from_data(Y, mu, rho)
+    cache = FactorizationCache(Y.T @ Y, mu, rho)
     M = mu * (Y.T @ Y) + rho * np.eye(6) + rho * np.ones((6, 6))
     rhs = rng.normal(size=(6, 6))
     assert np.allclose(cache.solve(rhs), np.linalg.solve(M, rhs), atol=1e-10)
@@ -173,11 +162,11 @@ def test_factorization_cache_solves_the_normal_system():
 def test_factorization_cache_rejects_degenerate_scales():
     # overflow is a divergence, numerically indefinite M an input error
     with pytest.raises(DivergenceError):
-        FactorizationCache.from_data(np.eye(3), mu=1e308, rho=1e308)
+        FactorizationCache(np.eye(3), mu=1e308, rho=1e308)
     rng = np.random.default_rng(24)
     wide = rng.normal(size=(2, 6))  # rank-2 gram, ridge vanishes
     with pytest.raises(InputError):
-        FactorizationCache.from_data(wide, mu=1.0, rho=1e-320)
+        FactorizationCache(wide.T @ wide, mu=1.0, rho=1e-320)
 
 
 def test_update_c_example_grid():
@@ -241,25 +230,20 @@ def test_update_multipliers_deterministic_recompute():
 
 
 def test_residual_report_cases():
-    state = SolverState.zeros(3)
-    r1, r2, r3 = residual_report(state)
+    zeros = np.zeros((3, 3))
+    r1, _, _ = residual_report(zeros, zeros, zeros)
     assert r1 == 1.0  # all-zero A: column sums miss 1 by exactly 1
-    assert r3 == np.inf
 
     # feasible state reports zero primal residuals
     C = np.array([[0.0, 1.0], [1.0, 0.0]])
-    state = SolverState.zeros(2)
-    state.A = C
-    state.C = C
-    r1, r2, _ = residual_report(state)
+    r1, r2, _ = residual_report(C, C, np.zeros((2, 2)))
     assert r1 == 0.0 and r2 == 0.0
 
     # hand 2x2 case against a scalar computation
-    state = SolverState.zeros(2)
-    state.A = np.array([[0.6, 0.2], [0.3, 0.9]])
-    state.C = np.array([[0.0, 0.25], [0.35, 0.0]])
-    state.C_prev = np.array([[0.0, 0.2], [0.3, 0.0]])
-    r1, r2, r3 = residual_report(state)
+    A = np.array([[0.6, 0.2], [0.3, 0.9]])
+    C = np.array([[0.0, 0.25], [0.35, 0.0]])
+    C_prev = np.array([[0.0, 0.2], [0.3, 0.0]])
+    r1, r2, r3 = residual_report(A, C, C_prev)
     assert r1 == pytest.approx(max(abs(0.6 + 0.3 - 1), abs(0.2 + 0.9 - 1)))
     assert r2 == pytest.approx(0.9)  # A[1,1] - C[1,1]
     assert r3 == pytest.approx(0.05)
@@ -363,11 +347,11 @@ def test_augmented_lagrangian_decreases_along_a_update():
     # there can only undercut the previous iterate's
     rng = np.random.default_rng(45)
     Y = rng.normal(size=(4, 5))
-    state = _random_state(rng, 5)
-    state.A = rng.normal(size=(5, 5))
+    C, delta, Delta = _random_state(rng, 5)
+    A = rng.normal(size=(5, 5))
     mu, rho = 2.0, 2.0
-    cache = FactorizationCache.from_data(Y, mu, rho)
-    before = oracles.augmented_lagrangian(Y, state.A, state.C, state.delta, state.Delta, mu, rho)
-    A_next = update_a(state, cache)
-    after = oracles.augmented_lagrangian(Y, A_next, state.C, state.delta, state.Delta, mu, rho)
+    cache = FactorizationCache(Y.T @ Y, mu, rho)
+    before = oracles.augmented_lagrangian(Y, A, C, delta, Delta, mu, rho)
+    A_next = update_a(C, delta, Delta, cache)
+    after = oracles.augmented_lagrangian(Y, A_next, C, delta, Delta, mu, rho)
     assert after <= before + 1e-12

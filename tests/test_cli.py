@@ -1,6 +1,9 @@
 """Command-line pipeline tests: flag parsing, config files, exit codes,
-artifact cleanup, determinism, and metadata reproduction."""
+artifact cleanup, determinism, metadata reproduction, and the demo and
+bench-trace scripts run as child processes."""
 
+import importlib.util
+import json
 import os
 import subprocess
 import sys
@@ -74,6 +77,14 @@ def test_load_config_file_errors(tmp_path):
     with pytest.raises(ConfigError) as err:
         load_config_file(str(unknown))
     assert "wibble" in str(err.value)
+    non_ascii = tmp_path / "non_ascii.cfg"
+    non_ascii.write_bytes(b"mu=1.0 # caf\xc3\xa9\n")
+    with pytest.raises(ConfigError):
+        load_config_file(str(non_ascii))
+    proc = run_module("--config", str(non_ascii), "--synth", "3,2,50,8,0.0,7")
+    assert proc.returncode == EXIT_CONFIG
+    assert proc.stderr.startswith("ssclust: config: ")
+    assert "Traceback" not in proc.stderr
 
 
 def test_config_file_bad_value_exits_config(tmp_path):
@@ -308,16 +319,25 @@ def test_k_override_flag(tmp_path):
     assert "k=2\n" in meta_path.read_text()
 
 
-def run_module(*args):
-    """Run `python -m ssclust` in a child that imports this process's package."""
+REPO = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+
+
+def run_python(*args, cwd=None):
+    """Run the interpreter in a child that imports this process's package."""
     src = os.path.dirname(os.path.dirname(ssclust.__file__))
     path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
     return subprocess.run(
-        [sys.executable, "-m", "ssclust", *args],
+        [sys.executable, *args],
         capture_output=True,
         text=True,
+        cwd=cwd,
         env=dict(os.environ, PYTHONPATH=path),
     )
+
+
+def run_module(*args):
+    """Run `python -m ssclust` in a child that imports this process's package."""
+    return run_python("-m", "ssclust", *args)
 
 
 def test_console_entry_point():
@@ -359,3 +379,48 @@ def test_bad_data_shape_exits_input_at_ingest(tmp_path, frame, count, extra):
     assert proc.returncode == EXIT_INPUT
     assert proc.stderr.startswith("ssclust: ingest: ")
     assert "Traceback" not in proc.stderr
+
+
+def test_trace_child_records_every_wrapped_span(tmp_path):
+    script = os.path.join(REPO, "bench", "trace_child.py")
+    spec = importlib.util.spec_from_file_location("trace_child", script)
+    trace_child = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(trace_child)
+    frames = tmp_path / "frames"
+    frames.mkdir()
+    rng = np.random.default_rng(3)
+    for i in range(12):
+        pixels = rng.integers(0, 256, size=64, dtype=np.uint8).tobytes()
+        (frames / f"f{i:02d}.pgm").write_bytes(b"P5\n8 8\n255\n" + pixels)
+    outputs = [
+        f"--out-{kind}={tmp_path / name}"
+        for kind, name in (
+            ("labels", "l.csv"), ("w", "w.pgm"), ("c", "c.pgm"),
+            ("conv", "conv.csv"), ("meta", "meta.txt"),
+        )
+    ]
+    runs = {
+        "frames": ["--frames", str(frames / "*.pgm"), "--project", "20,0", *outputs],
+        "synth": ["--synth", "3,2,50,8,0.0,7"],
+    }
+    seen = set()
+    for tag, args in runs.items():
+        spans = tmp_path / f"{tag}.json"
+        proc = run_python(script, str(spans), "--", "--max-iter", "50", *args)
+        assert proc.returncode == 0, proc.stderr
+        seen |= {span[0] for span in json.loads(spans.read_text())["spans"]}
+    assert {name for name, _, _ in trace_child.WRAPPED} <= seen
+
+
+@pytest.mark.parametrize(
+    "script, args, expected",
+    [
+        ("block_structure.py", (), "agreement with ground truth: 1.000"),
+        ("random_projection.py", (), "partition agreement full vs. sketched: 1.000"),
+        ("frame_pipeline.py", ("--out", "frames"), "cluster sizes: [8, 8, 8]"),
+    ],
+)
+def test_demo_runs(tmp_path, script, args, expected):
+    proc = run_python(os.path.join(REPO, "demos", script), *args, cwd=tmp_path)
+    assert proc.returncode == 0, proc.stderr
+    assert expected in proc.stdout

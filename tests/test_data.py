@@ -315,6 +315,8 @@ def test_synth_parameter_validation():
         synth_union_of_subspaces(2, 2, 10, 0)
     with pytest.raises(InputError):
         synth_union_of_subspaces(2, 2, 10, 4, noise_sigma=-0.1)
+    with pytest.raises(InputError):
+        synth_union_of_subspaces(2, 2, 10, 4, noise_sigma=float("nan"))
 
 
 def test_export_heatmap_exact_bytes(tmp_path):
