@@ -6,7 +6,6 @@ __version__ = "0.1.0"
 from .admm import (
     SolveReport,
     SolverConfig,
-    default_mu,
     objective_value,
     solve_ssc,
 )

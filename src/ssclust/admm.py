@@ -16,7 +16,6 @@ deterministic: identical inputs produce identical iterates.
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.linalg import cho_factor, cho_solve
 
 from .errors import DivergenceError, InputError
 
@@ -85,11 +84,14 @@ class SolveReport:
 
 
 class FactorizationCache:
-    """Cholesky factorization of M = mu Y^T Y + rho I + rho 1 1^T.
+    """The inverse of M = mu Y^T Y + rho I + rho 1 1^T, formed once.
 
-    M is constant across iterations, so it is factored once and reused;
-    the cache also keeps the constant part of the A-update right-hand
-    side, mu Y^T Y + rho 1 1^T.
+    M is constant across iterations, so its inverse is formed once from a
+    Cholesky factor and each A-update is one matrix product.  M is SPD with
+    eigenvalues in [rho, rho (N + 1) + mu ||Y^T Y||]: at the default rho = mu
+    on unit-norm data its condition number is at most about 2N + 1.  The
+    cache also keeps the A-update's constant term mu Y^T Y + rho 1 1^T.
+    `bench/trace_child.py` times this class, by this name, as `admm.factor`.
     """
 
     def __init__(self, gram, mu, rho):
@@ -105,36 +107,32 @@ class FactorizationCache:
                 "mu, rho, or the data scale overflows"
             )
         try:
-            self._factor = cho_factor(M)
+            L = np.linalg.cholesky(M)
         except np.linalg.LinAlgError as exc:
             raise InputError(
                 f"normal matrix is not numerically positive definite ({exc}); "
                 "rho is too small for this data scale"
             )
+        L_inv = np.linalg.inv(L)
+        self._inverse = L_inv.T @ L_inv
 
     def solve(self, rhs):
-        # M was checked finite when factored; the loop checks every iterate
-        return cho_solve(self._factor, rhs, check_finite=False)
+        return self._inverse @ rhs
 
 
-def default_mu(Y, scale=DEFAULT_MU_SCALE):
-    """Data-dependent fidelity weight: scale / max off-diagonal coherence."""
-    Y = check_data_matrix(Y)
-    return _mu_from_gram(Y.T @ Y, scale)
-
-
-def _mu_from_gram(gram, scale):
+def _mu_from_gram(gram):
+    """Data-dependent fidelity weight: DEFAULT_MU_SCALE / max off-diagonal coherence."""
     coh = np.abs(gram - np.diag(np.diag(gram))).max()
     if coh <= 0.0:
-        return float(scale)  # mutually orthogonal columns; any positive weight works
-    return float(scale / coh)
+        return DEFAULT_MU_SCALE  # mutually orthogonal columns; any weight works
+    return float(DEFAULT_MU_SCALE / coh)
 
 
 def update_a(C, delta, Delta, cache):
     """Minimize the augmented Lagrangian over A with C, delta, Delta fixed.
 
-    Solves M A = mu Y^T Y + rho 1 1^T + rho C - 1 delta^T - Delta using the
-    cached factorization of M.  C must have an exactly zero diagonal (every
+    Solves M A = mu Y^T Y + rho 1 1^T + rho C - 1 delta^T - Delta with the
+    cached inverse of M.  C must have an exactly zero diagonal (every
     C from `update_c` has one); it stands in for C - diag(C) as it is.
     """
     rhs = cache.rhs_const + cache.rho * C - delta[None, :] - Delta
@@ -198,7 +196,7 @@ def solve_ssc(Y, cfg=None):
     # DivergenceError, so the numpy warnings are redundant
     with np.errstate(over="ignore", invalid="ignore"):
         gram = Y.T @ Y
-        mu = float(cfg.mu) if cfg.mu is not None else _mu_from_gram(gram, DEFAULT_MU_SCALE)
+        mu = float(cfg.mu) if cfg.mu is not None else _mu_from_gram(gram)
         rho = float(cfg.rho) if cfg.rho is not None else mu
         cache = FactorizationCache(gram, mu, rho)
 

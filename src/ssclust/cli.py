@@ -165,6 +165,14 @@ def _check(args):
         value = getattr(args, key)
         if value is not None and value < 1:
             raise ConfigError(f"{key} must be >= 1, got {value}")
+    seeds = {
+        "synth seed": args.synth and args.synth[5],
+        "projection seed": args.project and args.project[1],
+        "spectral_seed": args.spectral_seed,
+    }
+    for key, value in seeds.items():
+        if value is not None and value < 0:
+            raise ConfigError(f"{key} must be >= 0, got {value}")
 
 
 def _load_input(args):

@@ -90,6 +90,19 @@ def project(G, Y):
     return out
 
 
+def column_distances(Y):
+    """Distances between the columns of Y for pairs i < j, in row-major order.
+
+    Differences are taken before norms, so duplicate columns give exactly 0.
+    """
+    X = np.ascontiguousarray(Y.T)  # points as contiguous rows
+    dists = [np.empty(0)]
+    for i in range(X.shape[0] - 1):
+        diff = X[i + 1 :] - X[i]
+        dists.append(np.sqrt(np.einsum("ij,ij->i", diff, diff)))
+    return np.concatenate(dists)
+
+
 def jl_distortion(Y, Y_proj):
     """Compare pairwise column distances before and after projection."""
     Y = np.asarray(Y, dtype=float)
@@ -102,12 +115,8 @@ def jl_distortion(Y, Y_proj):
     if n < 2:
         raise InputError("need at least two columns")
 
-    # imported here: at module level it slows every `ssclust` start by ~0.13 s
-    from scipy.spatial.distance import pdist
-
-    # pdist takes differences before norms, so duplicate columns give exactly 0
-    orig = pdist(Y.T)
-    proj = pdist(Y_proj.T)
+    orig = column_distances(Y)
+    proj = column_distances(Y_proj)
     nz = orig > 0
     skipped = int(np.count_nonzero(~nz))
     ratios = proj[nz] / orig[nz]

@@ -10,7 +10,6 @@ from ssclust import (
     InputError,
     SolverConfig,
     build_affinity,
-    default_mu,
     objective_value,
     solve_ssc,
     synth_union_of_subspaces,
@@ -93,6 +92,9 @@ def test_solver_config_validation():
 
 
 def test_default_mu_scaling():
+    def default_mu(Y):
+        return solve_ssc(Y, SolverConfig(max_iter=1))[1].mu
+
     # two unit columns with inner product 0.5 -> mu = 800 / 0.5
     Y = np.array([[1.0, 0.5], [0.0, np.sqrt(0.75)]])
     assert default_mu(Y) == pytest.approx(1600.0)

@@ -1,12 +1,13 @@
 """Command-line pipeline tests: flag parsing, config files, exit codes,
-artifact cleanup, determinism, metadata reproduction, and the demo and
-bench-trace scripts run as child processes."""
+artifact cleanup, determinism, metadata reproduction, a run with scipy
+blocked, and the demo and bench-trace scripts run as child processes."""
 
 import importlib.util
 import json
 import os
 import subprocess
 import sys
+import textwrap
 
 import numpy as np
 import pytest
@@ -379,6 +380,59 @@ def test_bad_data_shape_exits_input_at_ingest(tmp_path, frame, count, extra):
     assert proc.returncode == EXIT_INPUT
     assert proc.stderr.startswith("ssclust: ingest: ")
     assert "Traceback" not in proc.stderr
+
+
+@pytest.mark.parametrize(
+    "args",
+    [
+        ("--synth", "3,2,50,8,0.0,-1"),
+        ("--synth", "3,2,50,8,0.0,7", "--project", "5,-1"),
+        ("--synth", "3,2,50,8,0.0,7", "--spectral-seed", "-1"),
+        ("--synth", "3,2,50,8,0.0,7", "--config", "{cfg}"),
+    ],
+    ids=["synth", "project", "spectral", "config-file"],
+)
+def test_negative_seed_exits_config(tmp_path, args):
+    cfg = tmp_path / "seed.cfg"
+    cfg.write_text("spectral_seed=-1\n")
+    proc = run_module(*(arg.format(cfg=cfg) for arg in args))
+    assert proc.returncode == EXIT_CONFIG
+    assert proc.stderr.startswith("ssclust: config: ")
+    assert "Traceback" not in proc.stderr
+
+
+def test_import_loads_no_scipy():
+    proc = run_python(
+        "-c",
+        "import sys; import ssclust.cli; "
+        "loaded = sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'); "
+        "assert not loaded, loaded",
+    )
+    assert proc.returncode == 0, proc.stderr
+
+
+def test_full_run_without_scipy(tmp_path):
+    outputs = {
+        "labels": "l.csv", "w": "w.pgm", "c": "c.pgm", "conv": "conv.csv", "meta": "m.txt",
+    }
+    argv = ["--synth", "3,2,50,8,0.0,7", "--project", "25,0", "--tol-change", "1e-4"]
+    argv += [f"--out-{kind}={tmp_path / name}" for kind, name in outputs.items()]
+    # with its module entry set to None, any `import scipy...` raises
+    code = textwrap.dedent(
+        f"""
+        import sys
+        sys.modules["scipy"] = None
+        import numpy as np
+        from ssclust.cli import main
+        from ssclust.projection import jl_distortion
+        Y = np.random.default_rng(0).normal(size=(10, 6))
+        jl_distortion(Y, Y[:4])
+        sys.exit(main({argv!r}))
+        """
+    )
+    proc = run_python("-c", code)
+    assert proc.returncode == EXIT_OK, proc.stderr
+    assert all((tmp_path / name).exists() for name in outputs.values())
 
 
 def test_trace_child_records_every_wrapped_span(tmp_path):

@@ -1,5 +1,6 @@
 """Sketching tests: generator statistics, determinism, shapes, the
-row-block streaming of the sketch, and the distance-distortion report."""
+row-block streaming of the sketch, and the distance-distortion report,
+whose pairwise distances are checked against scipy's `pdist`."""
 
 import tracemalloc
 
@@ -18,7 +19,7 @@ from ssclust import (
     solve_ssc,
     synth_union_of_subspaces,
 )
-from ssclust.projection import BLOCK_ROWS
+from ssclust.projection import BLOCK_ROWS, column_distances
 
 
 @pytest.fixture(scope="module")
@@ -144,6 +145,23 @@ def test_jl_distortion_skips_duplicate_columns():
     assert rep.pair_count == 10
     assert rep.skipped_pairs == 1
     assert rep.max_contraction == pytest.approx(0.5)
+
+
+@pytest.mark.parametrize("D, N", [(1, 2), (3, 3), (3, 7), (40, 25), (500, 60)])
+def test_column_distances_match_pdist(D, N):
+    from scipy.spatial.distance import pdist
+
+    rng = np.random.default_rng(D * N)
+    Y = rng.normal(size=(D, N))
+    Y[:, -1] = Y[:, 0]  # duplicate columns, adjacent and not
+    if N > 3:
+        Y[:, 2] = Y[:, 1]
+    got = column_distances(Y)
+    expected = pdist(Y.T)
+    assert got.shape == expected.shape
+    assert np.allclose(got, expected, rtol=1e-13, atol=0)
+    assert np.array_equal(got == 0, expected == 0)
+    assert np.count_nonzero(got == 0) == (2 if N > 3 else 1)
 
 
 def test_jl_distortion_input_errors():
