@@ -202,6 +202,29 @@ def _format(value):
     return str(value)
 
 
+class _PendingOutput(os.PathLike):
+    """An output file written under a temporary name beside its target.
+
+    `commit` moves it onto the target with `os.replace`; until then the
+    file at the target, if any, is untouched.  The object names the file
+    where it is now, before the move and after it, so a caller that keeps
+    it (`bench/trace_child.py` reads each export's size after the run)
+    still finds the file.
+    """
+
+    def __init__(self, target, index):
+        head, tail = os.path.split(target)
+        self.target = target
+        self.path = os.path.join(head, f".{tail}.{os.getpid()}-{index}.tmp")
+
+    def __fspath__(self):
+        return self.path
+
+    def commit(self):
+        os.replace(self.path, self.target)
+        self.path = self.target
+
+
 def _write_metadata(path, effective, report, result):
     lines = [
         "# run record; reloadable with --config",
@@ -223,8 +246,13 @@ def _write_metadata(path, effective, report, result):
 
 
 def run(args):
-    """Execute the pipeline for parsed arguments; returns an exit code."""
-    written = []
+    """Execute the pipeline for parsed arguments; returns an exit code.
+
+    Outputs are written beside their targets and moved onto them only once
+    every one of them is written, so a failed run leaves existing files as
+    they were.
+    """
+    pending = []
     stage = "config"
     try:
         try:
@@ -268,16 +296,19 @@ def run(args):
             (args.out_conv, export_convergence, report.history),
         ):
             if path is not None:
-                export(value, path)
-                written.append(path)
+                pending.append(_PendingOutput(path, len(pending)))
+                export(value, pending[-1])
         if args.out_meta is not None:
+            pending.append(_PendingOutput(args.out_meta, len(pending)))
             effective = dict(vars(args), mu=report.mu, rho=report.rho, k_max=k_max)
-            _write_metadata(args.out_meta, effective, report, result)
-            written.append(args.out_meta)
+            _write_metadata(pending[-1], effective, report, result)
+        while pending:  # a committed output leaves the list: never removed below
+            pending[0].commit()
+            del pending[0]
     except (ConfigError, DivergenceError, InputError, OSError) as exc:
-        for path in written:
+        for output in pending:
             try:
-                os.unlink(path)
+                os.unlink(output)
             except OSError:
                 pass
         print(f"ssclust: {stage}: {exc}", file=sys.stderr)

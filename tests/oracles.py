@@ -20,6 +20,36 @@ def dense_a_update(Y, C, delta, Delta, mu, rho):
     return np.linalg.solve(M, rhs)
 
 
+def reference_admm(Y, mu, rho, iterations):
+    """A fixed number of ADMM iterations, every iterate allocated afresh.
+
+    Dense A-update, scalar-loop shrink and the textbook multiplier step;
+    returns C and the per-iteration (r_affine, r_split, r_change) history.
+    """
+    n = Y.shape[1]
+    ones = np.ones(n)
+    C = np.zeros((n, n))
+    delta = np.zeros(n)
+    Delta = np.zeros((n, n))
+    history = []
+    for _ in range(iterations):
+        A = dense_a_update(Y, C, delta, Delta, mu, rho)
+        C_next = scalar_soft_threshold(A + Delta / rho, 1.0 / rho)
+        np.fill_diagonal(C_next, 0.0)
+        affine = A.T @ ones - 1.0
+        delta = delta + rho * affine
+        Delta = Delta + rho * (A - C_next)
+        history.append(
+            (
+                np.abs(affine).max(),
+                np.abs(A - C_next).max(),
+                np.abs(C_next - C).max(),
+            )
+        )
+        C = C_next
+    return C, history
+
+
 def augmented_lagrangian(Y, A, C, delta, Delta, mu, rho):
     """Scalar value of the augmented Lagrangian at (A, C, delta, Delta)."""
     C_zd = C - np.diag(np.diag(C))

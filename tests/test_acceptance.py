@@ -98,7 +98,7 @@ def test_a_update_stationarity():
         delta = rng.standard_normal(n)
         Delta = rng.standard_normal((n, n))
         mu, rho = 4.0, 3.0
-        cache = FactorizationCache(Y.T @ Y, mu, rho)
+        cache = FactorizationCache(Y, mu, rho)
         A = update_a(C, delta, Delta, cache)
         grad = oracles.fd_gradient_wrt_a(Y, A, C, delta, Delta, mu, rho)
         worst = max(worst, float(np.abs(grad).max()))

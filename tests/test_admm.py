@@ -118,24 +118,39 @@ def test_update_a_fixed_point_at_feasible_c():
     C = np.zeros((4, 4))
     C[1, 0] = C[0, 1] = 1.0
     C[3, 2] = C[2, 3] = 1.0
-    cache = FactorizationCache(Y.T @ Y, mu=1.0, rho=1.0)
+    cache = FactorizationCache(Y, mu=1.0, rho=1.0)
     A = update_a(C, np.zeros(4), np.zeros((4, 4)), cache)
     assert np.allclose(A, C, atol=1e-10)
 
 
 def test_update_a_matches_dense_solve():
     rng = np.random.default_rng(21)
-    for _ in range(15):
-        n = int(rng.integers(3, 9))
-        d = int(rng.integers(2, 7))
-        Y = rng.normal(size=(d, n))
-        C, delta, Delta = _random_state(rng, n)
+
+    def check(Y):
+        C, delta, Delta = _random_state(rng, Y.shape[1])
         mu = float(rng.uniform(0.5, 5))
         rho = float(rng.uniform(0.5, 5))
-        cache = FactorizationCache(Y.T @ Y, mu, rho)
+        cache = FactorizationCache(Y, mu, rho)
+        # the thin factor keeps exactly the numerical rank of Y
+        assert cache.Qt.shape[0] - 1 == np.linalg.matrix_rank(Y)
         A = update_a(C, delta, Delta, cache)
         expected = oracles.dense_a_update(Y, C, delta, Delta, mu, rho)
         assert np.max(np.abs(A - expected)) <= 1e-10
+
+    for _ in range(15):
+        n = int(rng.integers(3, 9))
+        d = int(rng.integers(2, 7))
+        check(rng.normal(size=(d, n)))
+    # inputs whose Gram matrix is rank-deficient: tall of rank 3, a
+    # duplicate column, a zero column, and rank 1
+    tall = rng.normal(size=(9, 3)) @ rng.normal(size=(3, 6))
+    duplicate = rng.normal(size=(8, 6))
+    duplicate[:, 4] = duplicate[:, 1]
+    zero = rng.normal(size=(7, 5))
+    zero[:, 0] = 0.0
+    rank_one = np.outer(rng.normal(size=4), rng.normal(size=5))
+    for Y in (tall, duplicate, zero, rank_one):
+        check(Y)
 
 
 def test_update_a_gradient_vanishes():
@@ -145,7 +160,7 @@ def test_update_a_gradient_vanishes():
         Y = rng.normal(size=(4, n))
         C, delta, Delta = _random_state(rng, n)
         mu, rho = 1.5, 2.0
-        cache = FactorizationCache(Y.T @ Y, mu, rho)
+        cache = FactorizationCache(Y, mu, rho)
         A = update_a(C, delta, Delta, cache)
         # the Lagrangian is quadratic in A, so a wide central difference has
         # no truncation error and stays clear of the rounding floor of 1e-6
@@ -157,7 +172,7 @@ def test_factorization_cache_solves_the_normal_system():
     rng = np.random.default_rng(23)
     Y = rng.normal(size=(5, 6))
     mu, rho = 2.0, 3.0
-    cache = FactorizationCache(Y.T @ Y, mu, rho)
+    cache = FactorizationCache(Y, mu, rho)
     M = mu * (Y.T @ Y) + rho * np.eye(6) + rho * np.ones((6, 6))
     rhs = rng.normal(size=(6, 6))
     assert np.allclose(cache.solve(rhs), np.linalg.solve(M, rhs), atol=1e-10)
@@ -170,7 +185,7 @@ def test_factorization_cache_rejects_degenerate_scales():
     rng = np.random.default_rng(24)
     wide = rng.normal(size=(2, 6))  # rank-2 gram, ridge vanishes
     with pytest.raises(InputError):
-        FactorizationCache(wide.T @ wide, mu=1.0, rho=1e-320)
+        FactorizationCache(wide, mu=1.0, rho=1e-320)
 
 
 def test_update_c_example_grid():
@@ -320,6 +335,23 @@ def test_solve_ssc_deterministic():
     assert rep1.history == rep2.history
 
 
+def test_solve_ssc_matches_reference_loop():
+    # rank 12 at N = 200: the solve's reused buffers against a loop that
+    # allocates every iterate afresh
+    rng = np.random.default_rng(46)
+    Y = oracles.subspace_dataset(rng, 4, 3, 30, 50)
+    cfg = SolverConfig(max_iter=30, tol_primal=1e-300, tol_change=1e-300)
+    C, report = solve_ssc(Y, cfg)
+    C_ref, history_ref = oracles.reference_admm(Y, report.mu, report.rho, 30)
+    assert np.max(np.abs(C - C_ref)) <= 1e-9
+    assert report.iterations == 30
+    assert np.max(np.abs(np.array(report.history) - np.array(history_ref))) <= 1e-9
+    # a later solve writes none of the arrays the first one returned
+    kept = C.copy()
+    solve_ssc(oracles.subspace_dataset(rng, 4, 3, 30, 50), cfg)
+    assert np.array_equal(C, kept)
+
+
 def test_solve_ssc_block_structure():
     # 24 points in 3 disjoint planes: affinity mass stays in the blocks
     ds = synth_union_of_subspaces(3, 2, 50, 8, 0.0, 7)
@@ -354,7 +386,7 @@ def test_augmented_lagrangian_decreases_along_a_update():
     C, delta, Delta = _random_state(rng, 5)
     A = rng.normal(size=(5, 5))
     mu, rho = 2.0, 2.0
-    cache = FactorizationCache(Y.T @ Y, mu, rho)
+    cache = FactorizationCache(Y, mu, rho)
     before = oracles.augmented_lagrangian(Y, A, C, delta, Delta, mu, rho)
     A_next = update_a(C, delta, Delta, cache)
     after = oracles.augmented_lagrangian(Y, A_next, C, delta, Delta, mu, rho)

@@ -180,6 +180,25 @@ def test_exit_io_removes_partial_outputs(tmp_path):
     assert not labels.exists()  # written first, removed on the later failure
 
 
+def test_failed_export_keeps_existing_outputs(tmp_path):
+    labels = tmp_path / "labels.csv"
+    labels.write_bytes(b"index,label\n0,7\n")
+    before = labels.read_bytes()
+    args = [
+        "--synth", "2,2,20,4,0.0,0",
+        "--max-iter", "200",
+        "--tol-change", "1e-3",
+        "--out-labels", str(labels),
+    ]
+    code = main(args + ["--out-w", str(tmp_path / "missing-dir" / "w.pgm")])
+    assert code == EXIT_IO
+    assert labels.read_bytes() == before  # a later output failed: nothing replaced
+    assert [p.name for p in tmp_path.iterdir()] == ["labels.csv"]  # no temporaries
+    assert main(args) == EXIT_OK
+    assert labels.read_bytes() != before
+    assert [p.name for p in tmp_path.iterdir()] == ["labels.csv"]
+
+
 def test_full_run_determinism(tmp_path):
     args = ["--synth", "2,2,20,5,0.0,3", "--max-iter", "400", "--tol-change", "1e-4"]
     outs = {}
