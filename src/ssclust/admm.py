@@ -6,16 +6,19 @@ Solves
     s.t. A^T 1 = 1,  A = C - diag(C)
 
 by alternating a linear-system update of A, a soft-threshold update of C,
-and gradient-ascent updates of the Lagrange multipliers (delta, Delta).
-The A-update applies the inverse of its normal matrix through a thin
-factor of Y of numerical rank r <= min(D, N), the singular values above
-the `np.linalg.matrix_rank` tolerance (see `FactorizationCache`), so an
-iteration costs O(N^2 r) for two thin products plus O(N^2) elementwise
-passes.
+and ascent steps on the Lagrange multipliers (delta, Delta) of the two
+constraints.  The multipliers are kept in scaled form, u = delta / rho and
+U = Delta / rho (Boyd et al. 2011, section 3.1.1), so no step scales an
+N x N array by rho: `update_c` reads rho only as its shrink level, and the
+multiplier step adds the residuals as they are.  The A-update applies the
+inverse of its normal matrix through a thin factor of Y of numerical rank
+r <= min(D, N), the singular values above the `np.linalg.matrix_rank`
+tolerance (see `FactorizationCache`), so an iteration costs O(N^2 r) for
+two thin products plus O(N^2) elementwise passes.
 
 The steps take and return plain arrays, and write into the `out`/`work`
 arrays they are given.  `solve_ssc` allocates its five N x N float arrays
-(A, C, the previous C, Delta and one work array) once and runs every
+(A, C, the previous C, U and one work array) once and runs every
 iteration in them.  Every C handed to a step has an exactly zero
 diagonal, because `update_c` zeroes it, so the A-update uses C as given.
 The solver is deterministic: identical inputs produce identical iterates.
@@ -98,7 +101,7 @@ class SolveReport:
 class FactorizationCache:
     """M^-1 for M = mu Y^T Y + rho I + rho 1 1^T, through a thin factor of Y.
 
-    The thin SVD Y = U diag(s) V^T gives mu Y^T Y = F F^T with
+    The thin SVD Y = W diag(s) V^T gives mu Y^T Y = F F^T with
     F = sqrt(mu) V_r diag(s_r), where r counts the singular values above
     s_0 max(D, N) eps, the tolerance of `np.linalg.matrix_rank`.  Around
     B = rho (I + 1 1^T), whose inverse is (I - 1 1^T / (N + 1)) / rho, the
@@ -111,13 +114,12 @@ class FactorizationCache:
     Q = [1, rho G], kept transposed as `Qt`, and L = [1 / (N + 1), G K^-1].
     Applying M^-1 thus costs two thin products, O(N^2 r); the cache holds
     no N x N matrix, and the loop in `solve_ssc` holds five.
-    v = (N + 1) e_0 - Q^T 1 carries the multiplier delta through the A-update.
+    v = (N + 1) e_0 - Q^T 1 carries the multiplier u through the A-update.
     `bench/trace_child.py` times this class, by this name, as `admm.factor`.
     """
 
     def __init__(self, Y, mu, rho):
         n = Y.shape[1]
-        self.rho = rho
         # overflow is caught by the finiteness checks, not reported as a warning
         with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
             # M's largest entry, since |y_i^T y_j| <= max_i ||y_i||^2
@@ -145,9 +147,6 @@ class FactorizationCache:
         self.v = -self.Qt.sum(axis=1)
         self.v[0] += n + 1
 
-    def solve(self, rhs):
-        return (rhs - self.L @ (self.Qt @ rhs)) / self.rho
-
 
 def _mu_from_gram(gram):
     """DEFAULT_MU_SCALE / max off-diagonal coherence; zeroes gram's diagonal."""
@@ -163,58 +162,50 @@ def _max_abs(x):
     return float(max(x.max(), -x.min()))
 
 
-def update_a(C, delta, Delta, cache, out=None, work=None):
-    """Minimize the augmented Lagrangian over A with C, delta, Delta fixed.
+def update_a(C, U, u, cache, out=None, work=None):
+    """Minimize the augmented Lagrangian over A with C, u, U fixed.
 
-    Solves M A = mu Y^T Y + rho 1 1^T + rho C - 1 delta^T - Delta.  That
-    right-hand side is M - rho I plus the rest, so A = I + M^-1 (rho (C - I)
-    - 1 delta^T - Delta); with M^-1 = (I - L Q^T) / rho the identity cancels,
-    and L's first column, 1 / (N + 1), absorbs 1 delta^T:
+    Solves M A = mu Y^T Y + rho (1 1^T + C - 1 u^T - U).  That right-hand
+    side is M - rho I plus the rest, so A = I + rho M^-1 (C - I - 1 u^T - U);
+    with M^-1 = (I - L Q^T) / rho the identity and rho cancel, and L's first
+    column, 1 / (N + 1), absorbs 1 u^T:
 
-        A = S - L (Q^T S - Q^T + v delta^T / rho),   S = C - Delta / rho.
+        A = S - L (Q^T S - Q^T + v u^T),   S = C - U.
 
     C must have an exactly zero diagonal (every C from `update_c` has one);
     it stands in for C - diag(C) as it is.  A is written to `out` and S to
     `work`, two N x N arrays distinct from each other and from the inputs.
     """
-    S = np.divide(Delta, -cache.rho, out=work)
-    S += C
+    S = np.subtract(C, U, out=work)
     E = cache.Qt @ S
     E -= cache.Qt
-    E += cache.v[:, None] * (delta / cache.rho)
+    E += cache.v[:, None] * u
     A = np.matmul(cache.L, E, out=out)
     return np.subtract(S, A, out=A)
 
 
-def update_c(A_next, Delta, rho, out=None, work=None):
-    """Soft-threshold A + Delta/rho at level 1/rho and zero the diagonal.
+def update_c(A, U, rho, out=None, work=None):
+    """Soft-threshold A + U at level 1/rho and zero the diagonal.
 
     The result is written to `out` and the shrink's clipped part to `work`,
     two N x N arrays distinct from each other and from the inputs.
     """
-    J = np.divide(Delta, rho, out=out)
-    J += A_next
+    J = np.add(A, U, out=out)
     J = soft_threshold(J, 1.0 / rho, out=J, work=work)
     np.fill_diagonal(J, 0.0)
     return J
 
 
-def update_multipliers(delta, Delta, A_next, C_next, rho, residuals=None):
-    """Ascent step on both multipliers from the constraint residuals.
+def update_multipliers(u, U, residuals):
+    """Ascent step on the scaled multipliers: u += A^T 1 - 1, U += A - C.
 
-    The residuals are A^T 1 - 1 and A - C.  Without `residuals` the step
-    computes them and returns new arrays.  `residuals` is that pair as
-    `residual_report(..., out=...)` left it: the step then updates delta
-    and Delta in place and scales the pair's second array by rho.
+    `residuals` is that pair of residuals as `residual_report(..., out=...)`
+    left it.  u and U are updated in place and returned.
     """
-    if residuals is None:
-        residuals = (A_next.sum(axis=0) - 1.0, A_next - C_next)
-        delta, Delta = delta.copy(), Delta.copy()
     affine, split = residuals
-    delta += rho * affine
-    split *= rho
-    Delta += split
-    return delta, Delta
+    u += affine
+    U += split
+    return u, U
 
 
 def residual_report(A, C, C_prev, out=None):
@@ -266,8 +257,9 @@ def solve_ssc(Y, cfg=None):
     # the loop's N x N arrays, written in place; C and C_prev swap roles.
     # Allocated before the Gram matrix and the SVD: allocated after them,
     # they raised the peak RSS at N = 1000 by 2.4 MB (90.1 -> 92.5 MB).
-    A, C, C_prev, Delta, work = (np.zeros((n, n)) for _ in range(5))
-    delta, affine = np.zeros(n), np.zeros(n)
+    A, C, C_prev, U, work = (np.zeros((n, n)) for _ in range(5))
+    u, affine = np.zeros(n), np.zeros(n)
+    residuals = (affine, work)  # A^T 1 - 1 and A - C, for the multiplier step
     history = []
     converged = False
     # overflow here is detected by the finiteness checks and raised as
@@ -277,14 +269,13 @@ def solve_ssc(Y, cfg=None):
         rho = float(cfg.rho) if cfg.rho is not None else mu
         cache = FactorizationCache(Y, mu, rho)
         for iteration in range(1, cfg.max_iter + 1):
-            A = update_a(C, delta, Delta, cache, out=A, work=work)
+            A = update_a(C, U, u, cache, out=A, work=work)
             C_prev, C = C, C_prev
-            C = update_c(A, Delta, rho, out=C, work=work)
-            residuals = (affine, work)
+            C = update_c(A, U, rho, out=C, work=work)
             r_affine, r_split, r_change = residual_report(A, C, C_prev, out=residuals)
-            delta, Delta = update_multipliers(delta, Delta, A, C, rho, residuals)
+            u, U = update_multipliers(u, U, residuals)
             # a non-finite A or C makes max |A - C| non-finite
-            finite = np.isfinite(delta).all() and np.isfinite(Delta).all()
+            finite = np.isfinite(u).all() and np.isfinite(U).all()
             if not (math.isfinite(r_split) and finite):
                 raise DivergenceError(f"non-finite iterate at iteration {iteration}")
             history.append((r_affine, r_split, r_change))

@@ -173,6 +173,12 @@ def _check(args):
     for key, value in seeds.items():
         if value is not None and value < 0:
             raise ConfigError(f"{key} must be >= 0, got {value}")
+    if args.out_meta is not None:  # the run record is written as ASCII
+        for key, value in vars(args).items():
+            if key != "config" and isinstance(value, str) and not value.isascii():
+                raise ConfigError(
+                    f"{key} must be ASCII for --out-meta, got {ascii(value)}"
+                )
 
 
 def _load_input(args):
@@ -306,11 +312,6 @@ def run(args):
             pending[0].commit()
             del pending[0]
     except (ConfigError, DivergenceError, InputError, OSError) as exc:
-        for output in pending:
-            try:
-                os.unlink(output)
-            except OSError:
-                pass
         print(f"ssclust: {stage}: {exc}", file=sys.stderr)
         if isinstance(exc, ConfigError):
             return EXIT_CONFIG
@@ -319,6 +320,12 @@ def run(args):
         if isinstance(exc, InputError):
             return EXIT_INPUT
         return EXIT_IO
+    finally:
+        for output in pending:
+            try:
+                os.unlink(output)
+            except OSError:
+                pass
     return EXIT_OK
 
 

@@ -119,7 +119,7 @@ def test_update_a_fixed_point_at_feasible_c():
     C[1, 0] = C[0, 1] = 1.0
     C[3, 2] = C[2, 3] = 1.0
     cache = FactorizationCache(Y, mu=1.0, rho=1.0)
-    A = update_a(C, np.zeros(4), np.zeros((4, 4)), cache)
+    A = update_a(C, np.zeros((4, 4)), np.zeros(4), cache)
     assert np.allclose(A, C, atol=1e-10)
 
 
@@ -133,7 +133,7 @@ def test_update_a_matches_dense_solve():
         cache = FactorizationCache(Y, mu, rho)
         # the thin factor keeps exactly the numerical rank of Y
         assert cache.Qt.shape[0] - 1 == np.linalg.matrix_rank(Y)
-        A = update_a(C, delta, Delta, cache)
+        A = update_a(C, Delta / rho, delta / rho, cache)
         expected = oracles.dense_a_update(Y, C, delta, Delta, mu, rho)
         assert np.max(np.abs(A - expected)) <= 1e-10
 
@@ -161,7 +161,7 @@ def test_update_a_gradient_vanishes():
         C, delta, Delta = _random_state(rng, n)
         mu, rho = 1.5, 2.0
         cache = FactorizationCache(Y, mu, rho)
-        A = update_a(C, delta, Delta, cache)
+        A = update_a(C, Delta / rho, delta / rho, cache)
         # the Lagrangian is quadratic in A, so a wide central difference has
         # no truncation error and stays clear of the rounding floor of 1e-6
         grad = oracles.fd_gradient_wrt_a(Y, A, C, delta, Delta, mu, rho, step=1e-3)
@@ -175,7 +175,8 @@ def test_factorization_cache_solves_the_normal_system():
     cache = FactorizationCache(Y, mu, rho)
     M = mu * (Y.T @ Y) + rho * np.eye(6) + rho * np.ones((6, 6))
     rhs = rng.normal(size=(6, 6))
-    assert np.allclose(cache.solve(rhs), np.linalg.solve(M, rhs), atol=1e-10)
+    M_inv = (np.eye(6) - cache.L @ cache.Qt) / rho
+    assert np.allclose(M_inv @ rhs, np.linalg.solve(M, rhs), atol=1e-10)
 
 
 def test_factorization_cache_rejects_degenerate_scales():
@@ -207,45 +208,57 @@ def test_update_c_matches_scalar_oracle():
     rng = np.random.default_rng(32)
     A = rng.normal(size=(4, 4))
     Delta = rng.normal(size=(4, 4))
-    C = update_c(A, Delta, rho=2.0)
+    C = update_c(A, Delta / 2.0, rho=2.0)
     expected = oracles.scalar_soft_threshold(A + Delta / 2.0, 0.5)
     np.fill_diagonal(expected, 0.0)
     assert np.allclose(C, expected, atol=0)
     assert np.max(np.abs(np.diag(C))) == 0.0
 
 
+def _multiplier_step(u, U, A, C):
+    """Residuals as the solve leaves them, then the step on (u, U)."""
+    residuals = (np.empty(A.shape[1]), np.empty_like(A))
+    residual_report(A, C, C, out=residuals)
+    out = update_multipliers(u, U, residuals)
+    assert out[0] is u and out[1] is U  # updated in place, not copied
+    return out
+
+
 def test_update_multipliers_examples():
-    # column sums 1.1 and 0.95 -> residual (0.1, -0.05), scaled by rho=2
+    # column sums 1.1 and 0.95 -> u gains the residual (0.1, -0.05)
     A = np.array([[1.1, 0.95], [0.0, 0.0]])
-    delta, Delta = update_multipliers(np.zeros(2), np.zeros((2, 2)), A, A, rho=2.0)
-    assert np.allclose(delta, [0.2, -0.1])
-    assert np.allclose(Delta, 0.0)
+    u, U = _multiplier_step(np.zeros(2), np.zeros((2, 2)), A, A)
+    assert np.allclose(u, [0.1, -0.05])
+    assert np.array_equal(U, np.zeros((2, 2)))
 
     # feasible pair: both multipliers unchanged
     C = np.array([[0.0, 1.0], [1.0, 0.0]])
-    d0 = np.array([0.4, -0.2])
-    D0 = np.array([[0.0, 0.3], [-0.1, 0.0]])
-    d1, D1 = update_multipliers(d0, D0, C, C, rho=3.0)
-    assert np.array_equal(d1, d0)
-    assert np.array_equal(D1, D0)
+    u0 = np.array([0.4, -0.2])
+    U0 = np.array([[0.0, 0.3], [-0.1, 0.0]])
+    u1, U1 = _multiplier_step(u0.copy(), U0.copy(), C, C)
+    assert np.array_equal(u1, u0)
+    assert np.array_equal(U1, U0)
 
-    # A - C = all ones, rho = 1: Delta gains exactly ones
+    # A - C = all ones: U gains exactly ones
     n = 3
     A = np.ones((n, n))
-    d2, D2 = update_multipliers(np.zeros(n), np.zeros((n, n)), A, np.zeros((n, n)), 1.0)
-    assert np.array_equal(D2, np.ones((n, n)))
+    _, U2 = _multiplier_step(np.zeros(n), np.zeros((n, n)), A, np.zeros((n, n)))
+    assert np.array_equal(U2, np.ones((n, n)))
 
 
 def test_update_multipliers_deterministic_recompute():
     rng = np.random.default_rng(33)
     A = rng.normal(size=(4, 4))
     C = rng.normal(size=(4, 4))
-    d0 = rng.normal(size=4)
-    D0 = rng.normal(size=(4, 4))
-    first = update_multipliers(d0, D0, A, C, rho=1.7)
-    second = update_multipliers(d0, D0, A, C, rho=1.7)
+    u0 = rng.normal(size=4)
+    U0 = rng.normal(size=(4, 4))
+    first = _multiplier_step(u0.copy(), U0.copy(), A, C)
+    second = _multiplier_step(u0.copy(), U0.copy(), A, C)
     assert np.array_equal(first[0], second[0])
     assert np.array_equal(first[1], second[1])
+    # the scaled step adds the residuals as they are
+    assert np.array_equal(first[0], u0 + (A.sum(axis=0) - 1.0))
+    assert np.array_equal(first[1], U0 + (A - C))
 
 
 def test_residual_report_cases():
@@ -388,6 +401,6 @@ def test_augmented_lagrangian_decreases_along_a_update():
     mu, rho = 2.0, 2.0
     cache = FactorizationCache(Y, mu, rho)
     before = oracles.augmented_lagrangian(Y, A, C, delta, Delta, mu, rho)
-    A_next = update_a(C, delta, Delta, cache)
+    A_next = update_a(C, Delta / rho, delta / rho, cache)
     after = oracles.augmented_lagrangian(Y, A_next, C, delta, Delta, mu, rho)
     assert after <= before + 1e-12

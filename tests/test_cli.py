@@ -199,6 +199,18 @@ def test_failed_export_keeps_existing_outputs(tmp_path):
     assert [p.name for p in tmp_path.iterdir()] == ["labels.csv"]
 
 
+def test_unexpected_error_leaves_no_temporaries(tmp_path, monkeypatch):
+    def broken_export(value, path):
+        raise RuntimeError("export failed")
+
+    monkeypatch.setattr(ssclust.cli, "export_heatmap", broken_export)
+    labels = tmp_path / "labels.csv"
+    args = ["--synth", "2,2,20,4,0.0,0", "--max-iter", "50", "--out-labels", str(labels)]
+    with pytest.raises(RuntimeError):
+        main(args + ["--out-w", str(tmp_path / "w.pgm")])
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_full_run_determinism(tmp_path):
     args = ["--synth", "2,2,20,5,0.0,3", "--max-iter", "400", "--tol-change", "1e-4"]
     outs = {}
@@ -418,6 +430,30 @@ def test_negative_seed_exits_config(tmp_path, args):
     assert proc.returncode == EXIT_CONFIG
     assert proc.stderr.startswith("ssclust: config: ")
     assert "Traceback" not in proc.stderr
+
+
+def test_non_ascii_record_value_exits_config(tmp_path):
+    frames = tmp_path / "donnée"
+    frames.mkdir()
+    rng = np.random.default_rng(9)
+    for i in range(6):
+        pixels = " ".join(str(p) for p in rng.integers(0, 256, size=9))
+        (frames / f"f{i}.pgm").write_text(f"P2\n3 3\n255\n{pixels}\n")
+    labels = tmp_path / "labels.csv"
+    labels.write_bytes(b"index,label\n0,7\n")
+    before = labels.read_bytes()
+    proc = run_module(
+        "--frames", str(frames / "*.pgm"),
+        "--max-iter", "50",
+        "--out-labels", str(labels),
+        "--out-meta", str(tmp_path / "run.txt"),
+    )
+    # the record is ASCII, so the path cannot be recorded: refused before ingest
+    assert proc.returncode == EXIT_CONFIG
+    assert proc.stderr.startswith("ssclust: config: frames ")
+    assert "Traceback" not in proc.stderr
+    assert labels.read_bytes() == before
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["donnée", "labels.csv"]
 
 
 def test_import_loads_no_scipy():
