@@ -16,6 +16,16 @@ r <= min(D, N), the singular values above the `np.linalg.matrix_rank`
 tolerance (see `FactorizationCache`), so an iteration costs O(N^2 r) for
 two thin products plus O(N^2) elementwise passes.
 
+Unless rho is given, it starts at mu and is balanced in a damped window
+(Boyd et al. 2011, section 3.4.1): every BALANCE_EVERY iterations up to
+iteration BALANCE_UNTIL, rho is multiplied by BALANCE_FACTOR when the
+primal residual norm sqrt(||A^T 1 - 1||^2 + ||A - C||_F^2) exceeds
+BALANCE_RATIO times the dual residual norm rho ||C - C_prev||_F, and
+divided by it in the opposite case.  A change of rho by t divides u and U
+by t and refactors only an N x r block (`FactorizationCache.set_rho`).
+After the window rho stays fixed, so the usual fixed-rho convergence
+argument holds for the rest of the run.
+
 The steps take and return plain arrays, and write into the `out`/`work`
 arrays they are given.  `solve_ssc` allocates its five N x N float arrays
 (A, C, the previous C, U and one work array) once and runs every
@@ -32,6 +42,10 @@ import numpy as np
 from .errors import DivergenceError, InputError
 
 DEFAULT_MU_SCALE = 800.0
+BALANCE_EVERY = 10
+BALANCE_UNTIL = 500
+BALANCE_RATIO = 10.0
+BALANCE_FACTOR = 2.0
 
 
 def check_data_matrix(Y):
@@ -63,8 +77,9 @@ class SolverConfig:
     """Parameters of the self-expressive solve.
 
     mu is the data-fidelity weight, rho the penalty weight of the
-    augmented terms.  Leave either at None to pick a data-dependent
-    default: mu = 800 / max_{i != j} |y_i^T y_j|, rho = mu.
+    augmented terms.  Leave mu at None to pick the data-dependent default
+    mu = 800 / max_{i != j} |y_i^T y_j|.  rho starts at mu and is balanced
+    unless given (see the module docstring); a given rho stays fixed.
     """
 
     mu: float | None = None
@@ -86,7 +101,11 @@ class SolverConfig:
 
 @dataclass
 class SolveReport:
-    """Outcome of a solve: convergence flag, final residuals, history."""
+    """Outcome of a solve: convergence flag, final residuals, history.
+
+    rho is the value at exit and rho_changes the number of times the
+    balancing changed it (0 when rho was given).
+    """
 
     converged: bool
     iterations: int
@@ -95,6 +114,7 @@ class SolveReport:
     r_change: float
     mu: float
     rho: float
+    rho_changes: int
     history: list = field(default_factory=list)
 
 
@@ -132,20 +152,34 @@ class FactorizationCache:
             r = int(np.count_nonzero(s > s[0] * max(Y.shape) * np.finfo(float).eps))
             F = np.sqrt(mu) * (Vt[:r].T * s[:r])
             rhoG = F - F.sum(axis=0) / (n + 1)
-            K = np.eye(r) + (F.T @ rhoG) / rho
+            self._Ft_rhoG = F.T @ rhoG
+        self.Qt = np.vstack([np.ones((1, n)), rhoG.T])
+        self.L = np.empty((n, r + 1))
+        self.L[:, 0] = 1.0 / (n + 1)
+        self.v = -self.Qt.sum(axis=1)
+        self.v[0] += n + 1
+        self.set_rho(rho)
+
+    def set_rho(self, rho):
+        """Refactor M^-1 for a new rho, in place.
+
+        rho G = F - 1 1^T F / (N + 1) does not depend on rho, so Q, v and
+        F^T (rho G) are kept, and only L's last r columns, G K^-1 with
+        K = I + F^T (rho G) / rho, are solved again: O(N r^2).
+        """
+        r = self._Ft_rhoG.shape[0]
+        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+            K = np.eye(r) + self._Ft_rhoG / rho
             finite = np.isfinite(1.0 / rho) and np.isfinite(K).all()
             if finite:
-                G_Kinv = np.linalg.solve(K, rhoG.T).T / rho
+                G_Kinv = np.linalg.solve(K, self.Qt[1:]).T / rho
                 finite = np.isfinite(G_Kinv).all()
         if not finite:
             raise InputError(
                 "the normal matrix cannot be inverted in floating point; "
                 f"rho = {rho!r} is too small for this data scale"
             )
-        self.Qt = np.vstack([np.ones((1, n)), rhoG.T])
-        self.L = np.column_stack([np.full(n, 1.0 / (n + 1)), G_Kinv])
-        self.v = -self.Qt.sum(axis=1)
-        self.v[0] += n + 1
+        self.L[:, 1:] = G_Kinv
 
 
 def _mu_from_gram(gram):
@@ -208,6 +242,22 @@ def update_multipliers(u, U, residuals):
     return u, U
 
 
+def _balance_factor(affine, split, C, C_prev, rho):
+    """The factor for rho from the primal and dual residual norms.
+
+    `affine` and `split` hold A^T 1 - 1 and A - C as `residual_report`
+    left them; `split` is overwritten with C - C_prev, so no N x N
+    temporary is made.
+    """
+    primal = math.hypot(np.linalg.norm(affine), np.linalg.norm(split))
+    dual = rho * np.linalg.norm(np.subtract(C, C_prev, out=split))
+    if primal > BALANCE_RATIO * dual:
+        return BALANCE_FACTOR
+    if dual > BALANCE_RATIO * primal:
+        return 1.0 / BALANCE_FACTOR
+    return 1.0
+
+
 def residual_report(A, C, C_prev, out=None):
     """Return (||A^T 1 - 1||_inf, ||A - C||_inf, ||C - C_prev||_inf).
 
@@ -245,8 +295,8 @@ def solve_ssc(Y, cfg=None):
         Coefficient matrix with exactly zero diagonal; column i is the
         sparse representation of point i in terms of the other points.
     report : SolveReport
-        Convergence flag, iteration count, final residuals, effective
-        (mu, rho), and the full residual history.
+        Convergence flag, iteration count, final residuals, mu, the final
+        rho and its number of changes, and the full residual history.
     """
 
     Y = check_data_matrix(Y)
@@ -262,6 +312,7 @@ def solve_ssc(Y, cfg=None):
     residuals = (affine, work)  # A^T 1 - 1 and A - C, for the multiplier step
     history = []
     converged = False
+    rho_changes = 0
     # overflow here is detected by the finiteness checks and raised as
     # DivergenceError, so the numpy warnings are redundant
     with np.errstate(over="ignore", invalid="ignore"):
@@ -282,6 +333,18 @@ def solve_ssc(Y, cfg=None):
             if max(r_affine, r_split) <= cfg.tol_primal and r_change <= cfg.tol_change:
                 converged = True
                 break
+            if (
+                cfg.rho is None
+                and iteration % BALANCE_EVERY == 0
+                and iteration <= BALANCE_UNTIL
+            ):
+                t = _balance_factor(affine, work, C, C_prev, rho)
+                if t != 1.0:
+                    cache.set_rho(rho * t)
+                    rho *= t
+                    u /= t
+                    U /= t
+                    rho_changes += 1
 
     report = SolveReport(
         converged=converged,
@@ -291,6 +354,7 @@ def solve_ssc(Y, cfg=None):
         r_change=r_change,
         mu=mu,
         rho=rho,
+        rho_changes=rho_changes,
         history=history,
     )
     return C, report

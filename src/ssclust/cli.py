@@ -3,9 +3,11 @@
 Stages run in a fixed order (ingest -> project -> solve -> spectral ->
 export) and every run can drop a metadata file that records the effective
 parameters as reloadable key=value lines, so a finished run can be
-reproduced from its metadata alone.  The argument parser is the only
-schema: config-file keys, their types and defaults, and the lines of the
-run record all come from its flag declarations.
+reproduced from its metadata alone (rho only when given: a balanced run
+records its final rho as a comment, so its replay balances again).  The
+argument parser is the only schema: config-file keys, their types and
+defaults, and the lines of the run record all come from its flag
+declarations.
 
 Exit codes: 0 success, 2 configuration error, 3 input or format error,
 4 solver divergence, 5 I/O error.
@@ -173,11 +175,18 @@ def _check(args):
     for key, value in seeds.items():
         if value is not None and value < 0:
             raise ConfigError(f"{key} must be >= 0, got {value}")
-    if args.out_meta is not None:  # the run record is written as ASCII
+    if args.out_meta is not None:  # the run record is ASCII, one value a line
         for key, value in vars(args).items():
-            if key != "config" and isinstance(value, str) and not value.isascii():
+            if key == "config" or not isinstance(value, str):
+                continue
+            if not value.isascii():
                 raise ConfigError(
                     f"{key} must be ASCII for --out-meta, got {ascii(value)}"
+                )
+            if "\n" in value or "\r" in value:
+                raise ConfigError(
+                    f"{key} must not contain a line break for --out-meta, "
+                    f"got {value!r}"
                 )
 
 
@@ -241,6 +250,8 @@ def _write_metadata(path, effective, report, result):
         f"# r1={float(report.r_affine)!r}",
         f"# r2={float(report.r_split)!r}",
         f"# r3={float(report.r_change)!r}",
+        f"# rho_final={float(report.rho)!r}",
+        f"# rho_changes={report.rho_changes}",
         f"# estimated_k={result.estimated_k}",
     ]
     # argparse fills the namespace in flag declaration order
@@ -306,7 +317,8 @@ def run(args):
                 export(value, pending[-1])
         if args.out_meta is not None:
             pending.append(_PendingOutput(args.out_meta, len(pending)))
-            effective = dict(vars(args), mu=report.mu, rho=report.rho, k_max=k_max)
+            # rho is recorded only when given, so a replay balances it again
+            effective = dict(vars(args), mu=report.mu, k_max=k_max)
             _write_metadata(pending[-1], effective, report, result)
         while pending:  # a committed output leaves the list: never removed below
             pending[0].commit()

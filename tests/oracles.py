@@ -20,11 +20,18 @@ def dense_a_update(Y, C, delta, Delta, mu, rho):
     return np.linalg.solve(M, rhs)
 
 
-def reference_admm(Y, mu, rho, iterations):
+def reference_admm(Y, mu, rho, iterations, balance=False):
     """A fixed number of ADMM iterations, every iterate allocated afresh.
 
-    Dense A-update, scalar-loop shrink and the textbook multiplier step;
-    returns C and the per-iteration (r_affine, r_split, r_change) history.
+    Dense A-update, scalar-loop shrink and the textbook multiplier step on
+    the unscaled multipliers (delta, Delta).  With balance=True, rho is
+    balanced as in Boyd et al. 2011, section 3.4.1, at iterations 10, 20,
+    ..., 500: doubled when the primal residual norm
+    sqrt(||A^T 1 - 1||^2 + ||A - C||_F^2) exceeds ten times the dual one,
+    rho ||C - C_prev||_F, and halved in the opposite case.  Unscaled
+    multipliers need no rescaling: the next A-update solves the dense
+    system at the new rho.  Returns C, the per-iteration
+    (r_affine, r_split, r_change) history and the final rho.
     """
     n = Y.shape[1]
     ones = np.ones(n)
@@ -32,7 +39,7 @@ def reference_admm(Y, mu, rho, iterations):
     delta = np.zeros(n)
     Delta = np.zeros((n, n))
     history = []
-    for _ in range(iterations):
+    for iteration in range(1, iterations + 1):
         A = dense_a_update(Y, C, delta, Delta, mu, rho)
         C_next = scalar_soft_threshold(A + Delta / rho, 1.0 / rho)
         np.fill_diagonal(C_next, 0.0)
@@ -46,8 +53,15 @@ def reference_admm(Y, mu, rho, iterations):
                 np.abs(C_next - C).max(),
             )
         )
+        if balance and iteration % 10 == 0 and iteration <= 500:
+            primal = np.sqrt(np.sum(affine**2) + np.sum((A - C_next) ** 2))
+            dual = rho * np.sqrt(np.sum((C_next - C) ** 2))
+            if primal > 10.0 * dual:
+                rho = 2.0 * rho
+            elif dual > 10.0 * primal:
+                rho = rho / 2.0
         C = C_next
-    return C, history
+    return C, history, rho
 
 
 def augmented_lagrangian(Y, A, C, delta, Delta, mu, rho):

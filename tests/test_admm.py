@@ -1,6 +1,8 @@
 """Solver unit tests: update formulas checked against independent oracles,
 convergence behavior, determinism, and error paths."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -173,10 +175,18 @@ def test_factorization_cache_solves_the_normal_system():
     Y = rng.normal(size=(5, 6))
     mu, rho = 2.0, 3.0
     cache = FactorizationCache(Y, mu, rho)
-    M = mu * (Y.T @ Y) + rho * np.eye(6) + rho * np.ones((6, 6))
     rhs = rng.normal(size=(6, 6))
-    M_inv = (np.eye(6) - cache.L @ cache.Qt) / rho
-    assert np.allclose(M_inv @ rhs, np.linalg.solve(M, rhs), atol=1e-10)
+
+    def check(rho):
+        M = mu * (Y.T @ Y) + rho * np.eye(6) + rho * np.ones((6, 6))
+        M_inv = (np.eye(6) - cache.L @ cache.Qt) / rho
+        assert np.allclose(M_inv @ rhs, np.linalg.solve(M, rhs), atol=1e-10)
+
+    check(rho)
+    # refactored in place for rho' = t rho, as the balancing does
+    for t in (2.0, 0.5):
+        cache.set_rho(t * rho)
+        check(t * rho)
 
 
 def test_factorization_cache_rejects_degenerate_scales():
@@ -185,8 +195,13 @@ def test_factorization_cache_rejects_degenerate_scales():
         FactorizationCache(np.eye(3), mu=1e308, rho=1e308)
     rng = np.random.default_rng(24)
     wide = rng.normal(size=(2, 6))  # rank-2 gram, ridge vanishes
-    with pytest.raises(InputError):
+    with pytest.raises(InputError) as built:
         FactorizationCache(wide, mu=1.0, rho=1e-320)
+    # a refactor to that rho fails the same way
+    cache = FactorizationCache(wide, mu=1.0, rho=1.0)
+    with pytest.raises(InputError) as rebuilt:
+        cache.set_rho(1e-320)
+    assert str(rebuilt.value) == str(built.value)
 
 
 def test_update_c_example_grid():
@@ -349,20 +364,52 @@ def test_solve_ssc_deterministic():
 
 
 def test_solve_ssc_matches_reference_loop():
-    # rank 12 at N = 200: the solve's reused buffers against a loop that
-    # allocates every iterate afresh
+    # rank 12 at N = 200: the solve's reused buffers and scaled multipliers
+    # against a loop that allocates every iterate afresh and keeps the
+    # multipliers unscaled, so a change of rho rescales nothing there.
+    # The default balances rho; the second solve keeps rho = mu fixed.
     rng = np.random.default_rng(46)
     Y = oracles.subspace_dataset(rng, 4, 3, 30, 50)
     cfg = SolverConfig(max_iter=30, tol_primal=1e-300, tol_change=1e-300)
     C, report = solve_ssc(Y, cfg)
-    C_ref, history_ref = oracles.reference_admm(Y, report.mu, report.rho, 30)
-    assert np.max(np.abs(C - C_ref)) <= 1e-9
-    assert report.iterations == 30
-    assert np.max(np.abs(np.array(report.history) - np.array(history_ref))) <= 1e-9
+    assert report.rho_changes >= 1
+    fixed = dataclasses.replace(cfg, mu=report.mu, rho=report.mu)
+    for solver in (cfg, fixed):
+        C, report = solve_ssc(Y, solver)
+        C_ref, history_ref, rho_ref = oracles.reference_admm(
+            Y, report.mu, report.mu, 30, balance=solver.rho is None
+        )
+        assert np.max(np.abs(C - C_ref)) <= 1e-9
+        assert report.iterations == 30
+        history = np.array(report.history)
+        assert np.max(np.abs(history - np.array(history_ref))) <= 1e-9
+        assert report.rho == rho_ref
+    assert report.rho_changes == 0
     # a later solve writes none of the arrays the first one returned
     kept = C.copy()
     solve_ssc(oracles.subspace_dataset(rng, 4, 3, 30, 50), cfg)
     assert np.array_equal(C, kept)
+
+
+def test_default_solve_stops_near_the_optimum():
+    # the balanced default certifies its stop on three planes (N = 24)
+    # and ends within 1e-4 of a long fixed-rho solve, below the objective
+    # that 5000 iterations at rho = mu reach
+    Y = synth_union_of_subspaces(3, 2, 50, 8, 0.0, 7).Y
+    C, report = solve_ssc(Y)
+    assert report.converged and report.iterations <= 1500
+    assert report.rho_changes >= 1
+    mu = report.mu
+    got = objective_value(Y, C, mu)
+    long_cfg = SolverConfig(
+        mu=mu, rho=mu / 100, max_iter=100000, tol_primal=1e-10, tol_change=1e-10
+    )
+    C_ref, ref_report = solve_ssc(Y, long_cfg)
+    assert ref_report.converged
+    want = objective_value(Y, C_ref, mu)
+    assert abs(got - want) <= 1e-4 * want
+    C_fixed, _ = solve_ssc(Y, SolverConfig(mu=mu, rho=mu))
+    assert got <= objective_value(Y, C_fixed, mu)
 
 
 def test_solve_ssc_block_structure():

@@ -456,6 +456,39 @@ def test_non_ascii_record_value_exits_config(tmp_path):
     assert sorted(p.name for p in tmp_path.iterdir()) == ["donnée", "labels.csv"]
 
 
+@pytest.mark.parametrize("name", ["x\ny.csv", "x\ry.csv"], ids=["LF", "CR"])
+def test_line_break_in_record_value_exits_config(tmp_path, name):
+    # a recorded value is one line of the record; a line break in it would
+    # make the record fail to replay, so the run is refused before ingest
+    proc = run_module(
+        "--synth", "3,2,50,8,0.0,7",
+        "--out-labels", str(tmp_path / name),
+        "--out-meta", str(tmp_path / "run.txt"),
+    )
+    assert proc.returncode == EXIT_CONFIG
+    assert proc.stderr.startswith("ssclust: config: out_labels ")
+    assert "Traceback" not in proc.stderr
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_record_keeps_rho_only_when_given(tmp_path):
+    # a default run balances rho: its record gives the final value as a
+    # comment, so a replay balances again; a given rho is recorded as set
+    meta = tmp_path / "run.txt"
+    assert main(["--synth", "3,2,50,8,0.0,7", "--out-meta", str(meta)]) == EXIT_OK
+    lines = meta.read_text().splitlines()
+    assert "# converged=true" in lines
+    assert not any(line.startswith("rho=") for line in lines)
+    changes = [line for line in lines if line.startswith("# rho_changes=")]
+    assert len(changes) == 1 and int(changes[0].split("=")[1]) >= 1
+    assert sum(line.startswith("# rho_final=") for line in lines) == 1
+    argv = ["--synth", "3,2,50,8,0.0,7", "--rho", "30.0", "--out-meta", str(meta)]
+    assert main(argv) == EXIT_OK
+    lines = meta.read_text().splitlines()
+    assert "rho=30.0" in lines
+    assert "# rho_final=30.0" in lines and "# rho_changes=0" in lines
+
+
 def test_import_loads_no_scipy():
     proc = run_python(
         "-c",
