@@ -1,13 +1,14 @@
 """Command-line pipeline: ingest, optional sketching, solve, cluster, export.
 
 Stages run in a fixed order (ingest -> project -> solve -> spectral ->
-export) and every run can drop a metadata file that records the effective
-parameters as reloadable key=value lines, so a finished run can be
-reproduced from its metadata alone (rho only when given: a balanced run
-records its final rho as a comment, so its replay balances again).  The
-argument parser is the only schema: config-file keys, their types and
-defaults, and the lines of the run record all come from its flag
-declarations.
+export).  The argument parser is the only schema: config-file keys, their
+types and defaults, and the lines of the run record all come from its flag
+declarations.  Every run can drop a metadata file of reloadable key=value
+lines, so a finished run can be reproduced from its metadata alone (rho
+only when given: a balanced run records its final rho as a comment, so its
+replay balances again).  A value the config reader would not return
+unchanged (a non-ASCII character, a line break, or whitespace at either
+end) cannot be recorded, so with --out-meta it is refused with exit code 2.
 
 Exit codes: 0 success, 2 configuration error, 3 input or format error,
 4 solver divergence, 5 I/O error.
@@ -15,6 +16,7 @@ Exit codes: 0 success, 2 configuration error, 3 input or format error,
 
 import argparse
 import glob as globlib
+import io
 import os
 import sys
 from dataclasses import fields
@@ -41,29 +43,24 @@ EXIT_DIVERGED = 4
 EXIT_IO = 5
 
 
-def parse_synth_spec(text):
-    """Parse 'K,d,D,n_per,sigma,seed' into a typed tuple."""
-    parts = [p.strip() for p in text.split(",")]
-    if len(parts) != 6:
-        raise ConfigError(f"--synth needs K,d,D,n_per,sigma,seed, got {text!r}")
-    try:
-        K, d, D, n_per = (int(p) for p in parts[:4])
-        sigma = float(parts[4])
-        seed = int(parts[5])
-    except ValueError:
-        raise ConfigError(f"malformed --synth value {text!r}")
-    return (K, d, D, n_per, sigma, seed)
+def _field_parser(flag, names, *types):
+    def parse(text):
+        """Parse comma-separated fields into a tuple, one type per field."""
+        parts = [p.strip() for p in text.split(",")]
+        if len(parts) != len(types):
+            raise ConfigError(f"{flag} needs {names}, got {text!r}")
+        try:
+            return tuple(kind(part) for kind, part in zip(types, parts))
+        except ValueError:
+            raise ConfigError(f"malformed {flag} value {text!r}")
+
+    return parse
 
 
-def parse_project_spec(text):
-    """Parse 'm,seed' into a pair of ints."""
-    parts = [p.strip() for p in text.split(",")]
-    if len(parts) != 2:
-        raise ConfigError(f"--project needs m,seed, got {text!r}")
-    try:
-        return (int(parts[0]), int(parts[1]))
-    except ValueError:
-        raise ConfigError(f"malformed --project value {text!r}")
+parse_synth_spec = _field_parser(
+    "--synth", "K,d,D,n_per,sigma,seed", int, int, int, int, float, int
+)
+parse_project_spec = _field_parser("--project", "m,seed", int, int)
 
 
 def build_parser():
@@ -116,19 +113,10 @@ def build_parser():
     return parser
 
 
-def _convert(action, key, raw):
-    """Type one config-file value the way its flag's action types it."""
-    try:
-        if action.nargs == 0:  # a switch: --normalize
-            return {"true": True, "false": False}[raw.lower()]
-        return action.type(raw) if action.type is not None else raw
-    except (KeyError, ValueError):
-        raise ConfigError(f"bad value for {key}: {raw!r}")
+def _read_config(text, source):
+    """Typed values keyed by flag destination, read from key=value text.
 
-
-def load_config_file(path):
-    """Read key=value lines into typed values keyed by flag destination.
-
+    Lines must be ASCII and split as text-mode `readlines` splits them.
     Keys are the long flag names except --config, with '-' and '_'
     interchangeable; '#' comments and blank lines are skipped.
     """
@@ -137,24 +125,38 @@ def load_config_file(path):
         for action in build_parser()._actions
         if action.dest not in ("help", "config")
     }
-    try:
-        with open(path, "r", encoding="ascii") as fh:
-            lines = fh.readlines()
-    except (OSError, UnicodeDecodeError) as exc:
-        raise ConfigError(f"cannot read config file {path}: {exc}")
     values = {}
-    for lineno, raw in enumerate(lines, start=1):
+    for lineno, raw in enumerate(io.StringIO(text, newline=None), start=1):
+        if not raw.isascii():
+            raise ConfigError(f"{source}:{lineno}: not ASCII: {ascii(raw)}")
         line = raw.strip()
         if not line or line.startswith("#"):
             continue
         if "=" not in line:
-            raise ConfigError(f"{path}:{lineno}: expected key=value, got {line!r}")
+            raise ConfigError(f"{source}:{lineno}: expected key=value, got {line!r}")
         key, _, value = line.partition("=")
         key = key.strip().replace("-", "_")
         if key not in actions:
-            raise ConfigError(f"{path}:{lineno}: unknown key {key!r}")
-        values[key] = _convert(actions[key], key, value.strip())
+            raise ConfigError(f"{source}:{lineno}: unknown key {key!r}")
+        action, value = actions[key], value.strip()
+        try:
+            if action.nargs == 0:  # a switch: --normalize
+                values[key] = {"true": True, "false": False}[value.lower()]
+            else:
+                values[key] = value if action.type is None else action.type(value)
+        except (KeyError, ValueError):
+            raise ConfigError(f"bad value for {key}: {value!r}")
     return values
+
+
+def load_config_file(path):
+    """Read a config file of key=value lines; `_read_config` gives the rules."""
+    try:
+        # a byte that is not ASCII decodes to a surrogate, which the reader refuses
+        with open(path, "r", encoding="ascii", errors="surrogateescape") as fh:
+            return _read_config(fh.read(), path)
+    except OSError as exc:
+        raise ConfigError(f"cannot read config file {path}: {exc}")
 
 
 def _check(args):
@@ -175,19 +177,16 @@ def _check(args):
     for key, value in seeds.items():
         if value is not None and value < 0:
             raise ConfigError(f"{key} must be >= 0, got {value}")
-    if args.out_meta is not None:  # the run record is ASCII, one value a line
+    if args.out_meta is not None:  # each recorded value must replay unchanged
         for key, value in vars(args).items():
             if key == "config" or not isinstance(value, str):
                 continue
-            if not value.isascii():
-                raise ConfigError(
-                    f"{key} must be ASCII for --out-meta, got {ascii(value)}"
-                )
-            if "\n" in value or "\r" in value:
-                raise ConfigError(
-                    f"{key} must not contain a line break for --out-meta, "
-                    f"got {value!r}"
-                )
+            try:
+                replayed = _read_config(f"{key}={_format(value)}", "--out-meta")
+            except ConfigError:
+                replayed = None
+            if replayed != {key: value}:
+                raise ConfigError(f"{key} would not replay from --out-meta: {value!a}")
 
 
 def _load_input(args):

@@ -130,10 +130,18 @@ def frames_to_matrix(frames):
 
 
 def normalize_columns(Y):
-    """Scale every column to unit l2 norm; zero columns pass through."""
+    """Scale every column to unit l2 norm; zero columns pass through.
+
+    A column whose norm is not finite (an inf entry, or entries so large
+    that the sum of their squares overflows) raises InputError.
+    """
     Y = np.asarray(Y, dtype=float)
     # norms first, so their temporary is freed before the copy is made
-    norms = np.linalg.norm(Y, axis=0)
+    with np.errstate(over="ignore"):
+        norms = np.linalg.norm(Y, axis=0)
+    if not np.isfinite(norms).all():
+        column = int(np.flatnonzero(~np.isfinite(norms))[0])
+        raise InputError(f"column {column} has no finite l2 norm")
     out = np.array(Y)
     np.divide(out, norms, out=out, where=norms > 0)
     return out
@@ -154,6 +162,8 @@ def synth_union_of_subspaces(K, d, D, n_per, noise_sigma=0.0, seed=0):
         raise InputError(f"need K >= 1 and n_per >= 1, got K={K}, n_per={n_per}")
     if not noise_sigma >= 0:  # also rejects nan
         raise InputError(f"noise_sigma must be nonnegative, got {noise_sigma}")
+    if seed < 0:
+        raise InputError(f"seed must be nonnegative, got {seed}")
 
     rng = np.random.default_rng(seed)
     bases = None

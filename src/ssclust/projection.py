@@ -71,6 +71,8 @@ def gaussian_matrix(m, D, seed):
     """The m x D sketch with iid N(0, 1/m) entries, fixed fill order."""
     if m < 1 or m > D:
         raise InputError(f"need 1 <= m <= D, got m={m}, D={D}")
+    if seed < 0:
+        raise InputError(f"seed must be nonnegative, got {seed}")
     return ProjectionMatrix(m=m, D=D, seed=seed)
 
 

@@ -109,10 +109,14 @@ def kmeans(points, k, seed=0, restarts=10):
     n = points.shape[0]
     if k < 1 or k > n:
         raise InputError(f"need 1 <= k <= {n}, got k={k}")
+    if seed < 0:
+        raise InputError(f"seed must be nonnegative, got {seed}")
+    if restarts < 1:
+        raise InputError(f"restarts must be >= 1, got {restarts}")
 
     best_labels = None
     best_cost = np.inf
-    for r in range(max(restarts, 1)):
+    for r in range(restarts):
         labels, cost = _lloyd_run(points, k, np.random.default_rng(seed + r))
         if cost < best_cost:
             best_cost = cost

@@ -5,12 +5,16 @@ blocked, and the demo and bench-trace scripts run as child processes."""
 import importlib.util
 import json
 import os
+import string
 import subprocess
 import sys
+import tempfile
 import textwrap
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import oracles
 import ssclust
@@ -413,6 +417,18 @@ def test_bad_data_shape_exits_input_at_ingest(tmp_path, frame, count, extra):
     assert "Traceback" not in proc.stderr
 
 
+@pytest.mark.parametrize("sigma", ["1e200", "1e308", "inf"])
+def test_overflowing_column_norm_exits_input(tmp_path, sigma):
+    # finite or not, noise this large leaves columns whose norm is not finite
+    out = tmp_path / "l.csv"
+    proc = run_module("--synth", f"3,2,50,8,{sigma},7", "--out-labels", str(out))
+    assert proc.returncode == EXIT_INPUT
+    assert proc.stderr.startswith("ssclust: ingest: ")
+    assert "Warning" not in proc.stderr
+    assert "Traceback" not in proc.stderr
+    assert list(tmp_path.iterdir()) == []
+
+
 @pytest.mark.parametrize(
     "args",
     [
@@ -469,6 +485,52 @@ def test_line_break_in_record_value_exits_config(tmp_path, name):
     assert proc.stderr.startswith("ssclust: config: out_labels ")
     assert "Traceback" not in proc.stderr
     assert list(tmp_path.iterdir()) == []
+
+
+# file-name characters: whitespace that str.strip drops, line breaks, the
+# config syntax, and a letter that is not ASCII (no '/' and no NUL)
+RECORD_NAME_CHARS = (
+    string.ascii_letters + string.digits + ".#= \t\x0b\x0c\x1c\x1d\x1e\x1f\r\né"
+)
+
+
+@settings(max_examples=25, deadline=None)
+@given(
+    st.text(RECORD_NAME_CHARS, min_size=1, max_size=8).filter(
+        lambda name: name not in (".", "..")
+    )
+)
+@example("lab.csv ")
+@example("lab.csv\x0b")
+@example("lab.csv\x1f")
+@example("\tlab.csv")
+def test_every_record_replays(name):
+    # the labels name is given relative to the working directory, so a
+    # leading space is part of it; the record goes to another directory
+    cwd = os.getcwd()
+    with tempfile.TemporaryDirectory() as top:
+        out, rec = os.path.join(top, "out"), os.path.join(top, "rec")
+        os.mkdir(out)
+        os.mkdir(rec)
+        record = os.path.join(rec, "run.txt")
+        argv = ["--synth", "3,2,50,8,0.0,7", "--max-iter", "20"]
+        os.chdir(out)
+        try:
+            code = main([*argv, "--out-labels", name, "--out-meta", record])
+            assert code in (EXIT_OK, EXIT_CONFIG)
+            if code == EXIT_CONFIG:
+                assert os.listdir(out) == [] and os.listdir(rec) == []
+                return
+            assert os.listdir(out) == [name]
+            with open(name, "rb") as fh:
+                labels = fh.read()
+            os.unlink(name)
+            assert main(["--config", record]) == EXIT_OK
+            assert os.listdir(out) == [name]
+            with open(name, "rb") as fh:
+                assert fh.read() == labels
+        finally:
+            os.chdir(cwd)
 
 
 def test_record_keeps_rho_only_when_given(tmp_path):

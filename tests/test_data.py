@@ -246,6 +246,10 @@ def test_normalize_columns():
     assert np.array_equal(out[:, 1], [0.0, 0.0])
     # input is not modified in place
     assert Y[0, 0] == 3.0
+    # a norm that overflows, or an inf entry, is refused, and no warning escapes
+    for bad in (np.full((2, 3), 1e200), np.array([[1.0, np.inf], [2.0, 0.0]])):
+        with pytest.raises(InputError):
+            normalize_columns(bad)
 
 
 def test_normalize_columns_holds_one_copy():
@@ -317,6 +321,8 @@ def test_synth_parameter_validation():
         synth_union_of_subspaces(2, 2, 10, 4, noise_sigma=-0.1)
     with pytest.raises(InputError):
         synth_union_of_subspaces(2, 2, 10, 4, noise_sigma=float("nan"))
+    with pytest.raises(InputError):
+        synth_union_of_subspaces(2, 2, 10, 4, seed=-1)
 
 
 def test_export_heatmap_exact_bytes(tmp_path):

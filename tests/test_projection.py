@@ -47,6 +47,8 @@ def test_gaussian_matrix_bounds():
         gaussian_matrix(0, 10, 0)
     with pytest.raises(InputError):
         gaussian_matrix(11, 10, 0)
+    with pytest.raises(InputError):
+        gaussian_matrix(5, 20, -1)
     # m = D is allowed
     assert gaussian_matrix(4, 4, 0).values.shape == (4, 4)
 

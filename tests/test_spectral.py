@@ -222,6 +222,9 @@ def test_kmeans_deterministic_and_bounds():
         kmeans(pts, 13, seed=0)
     with pytest.raises(InputError):
         kmeans(pts, 0, seed=0)
+    for seed, restarts in ((-1, 10), (0, 0), (0, -3)):
+        with pytest.raises(InputError):
+            kmeans(pts, 3, seed=seed, restarts=restarts)
 
 
 def test_cluster_three_ideal_blocks():
