@@ -10,8 +10,9 @@ replay balances again).  A value the config reader would not return
 unchanged (a non-ASCII character, a line break, or whitespace at either
 end) cannot be recorded, so with --out-meta it is refused with exit code 2.
 
-Exit codes: 0 success, 2 configuration error, 3 input or format error,
-4 solver divergence, 5 I/O error.
+Every failure prints one `ssclust: <stage>: <message>` line.  Exit codes:
+0 success, 2 configuration error, 3 input or format error (or an input too
+large for this machine's memory), 4 solver divergence, 5 I/O error.
 """
 
 import argparse
@@ -37,9 +38,9 @@ from .projection import gaussian_matrix, project
 from .spectral import AFFINITY_FORMULA, build_affinity, cluster, default_k_max
 
 EXIT_OK = 0
-EXIT_CONFIG = 2
-EXIT_INPUT = 3
-EXIT_DIVERGED = 4
+EXIT_CONFIG = ConfigError.exit_code
+EXIT_INPUT = InputError.exit_code
+EXIT_DIVERGED = DivergenceError.exit_code
 EXIT_IO = 5
 
 
@@ -211,8 +212,6 @@ def _format(value):
         return str(value).lower()
     if isinstance(value, tuple):
         return ",".join(_format(v) for v in value)
-    if isinstance(value, float):
-        return repr(float(value))
     return str(value)
 
 
@@ -261,16 +260,22 @@ def _write_metadata(path, effective, report, result):
         fh.write("\n".join(lines) + "\n")
 
 
-def run(args):
-    """Execute the pipeline for parsed arguments; returns an exit code.
+def main(argv=None):
+    """Parse flags over config-file values over defaults, run, return the code.
 
-    Outputs are written beside their targets and moved onto them only once
-    every one of them is written, so a failed run leaves existing files as
-    they were.
+    A failure prints one `ssclust: <stage>: <message>` line and returns the
+    exit code its error class carries.  Outputs are written beside their
+    targets and moved onto them only once every one of them is written, so
+    a failed run leaves existing files as they were.
     """
+    parser = build_parser()
     pending = []
     stage = "config"
     try:
+        args = parser.parse_args(argv)
+        if args.config is not None:
+            parser.set_defaults(**load_config_file(args.config))
+            args = parser.parse_args(argv)
         try:
             solver = SolverConfig(
                 **{f.name: getattr(args, f.name) for f in fields(SolverConfig)}
@@ -322,15 +327,11 @@ def run(args):
         while pending:  # a committed output leaves the list: never removed below
             pending[0].commit()
             del pending[0]
-    except (ConfigError, DivergenceError, InputError, OSError) as exc:
+    except (ConfigError, DivergenceError, InputError, OSError, MemoryError) as exc:
+        if isinstance(exc, MemoryError):
+            exc = InputError("the input is too large for this machine")
         print(f"ssclust: {stage}: {exc}", file=sys.stderr)
-        if isinstance(exc, ConfigError):
-            return EXIT_CONFIG
-        if isinstance(exc, DivergenceError):
-            return EXIT_DIVERGED
-        if isinstance(exc, InputError):
-            return EXIT_INPUT
-        return EXIT_IO
+        return getattr(exc, "exit_code", EXIT_IO)
     finally:
         for output in pending:
             try:
@@ -338,20 +339,6 @@ def run(args):
             except OSError:
                 pass
     return EXIT_OK
-
-
-def main(argv=None):
-    """Parse flags over config-file values over defaults, then run."""
-    parser = build_parser()
-    try:
-        args = parser.parse_args(argv)
-        if args.config is not None:
-            parser.set_defaults(**load_config_file(args.config))
-            args = parser.parse_args(argv)
-    except ConfigError as exc:
-        print(f"ssclust: config: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
-    return run(args)
 
 
 if __name__ == "__main__":

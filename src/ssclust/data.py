@@ -164,6 +164,9 @@ def synth_union_of_subspaces(K, d, D, n_per, noise_sigma=0.0, seed=0):
         raise InputError(f"noise_sigma must be nonnegative, got {noise_sigma}")
     if seed < 0:
         raise InputError(f"seed must be nonnegative, got {seed}")
+    width = max(d, K * n_per)  # the bases are D x d, the data D x K*n_per
+    if D * width * 8 > np.iinfo(np.intp).max:  # numpy cannot describe it
+        raise InputError(f"a {D} x {width} array of floats is too large to describe")
 
     rng = np.random.default_rng(seed)
     bases = None

@@ -1,4 +1,4 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, with the exit codes of the CLI."""
 
 
 class SsclustError(Exception):
@@ -8,9 +8,13 @@ class SsclustError(Exception):
 class ConfigError(SsclustError):
     """Invalid or inconsistent run configuration."""
 
+    exit_code = 2
+
 
 class InputError(SsclustError):
     """Invalid input data or parameters."""
+
+    exit_code = 3
 
 
 class FormatError(InputError):
@@ -19,3 +23,5 @@ class FormatError(InputError):
 
 class DivergenceError(SsclustError):
     """Solver produced non-finite values."""
+
+    exit_code = 4

@@ -14,6 +14,8 @@ import numpy as np
 from .errors import InputError
 
 AFFINITY_FORMULA = "colmax-abs-symmetrize"
+SYMMETRY_TOL = 1e-10  # largest |S - S^T| entry taken as symmetric
+LLOYD_MAX_ITER = 300
 
 
 @dataclass
@@ -60,12 +62,12 @@ def normalized_laplacian(W):
     return (L + L.T) / 2.0
 
 
-def symmetric_eigendecomposition(S, tol=1e-10):
+def symmetric_eigendecomposition(S):
     """Eigenvalues (ascending) and orthonormal eigenvectors of symmetric S."""
     S = np.asarray(S, dtype=float)
     if S.ndim != 2 or S.shape[0] != S.shape[1]:
         raise InputError(f"matrix must be square, got {S.shape}")
-    if np.abs(S - S.T).max(initial=0.0) > tol:
+    if np.abs(S - S.T).max(initial=0.0) > SYMMETRY_TOL:
         raise InputError("matrix is not symmetric")
     eigenvalues, eigenvectors = np.linalg.eigh(S)
     return eigenvalues, eigenvectors
@@ -124,11 +126,11 @@ def kmeans(points, k, seed=0, restarts=10):
     return best_labels
 
 
-def _lloyd_run(points, k, rng, max_iter=300):
+def _lloyd_run(points, k, rng):
     n = points.shape[0]
     centers = points[_weighted_seeds(points, k, rng)].copy()
     labels = np.full(n, -1)
-    for _ in range(max_iter):
+    for _ in range(LLOYD_MAX_ITER):
         dist2 = _sq_distances(points, centers)
         new_labels = dist2.argmin(axis=1)
         # reseat empty clusters at the worst-served point

@@ -6,6 +6,8 @@ import importlib.util
 import json
 import os
 import string
+import contextlib
+import io
 import subprocess
 import sys
 import tempfile
@@ -18,6 +20,7 @@ from hypothesis import strategies as st
 
 import oracles
 import ssclust
+from test_data import pgm_files
 from ssclust import InputError, compare_partitions, load_frame
 from ssclust.cli import (
     EXIT_CONFIG,
@@ -529,6 +532,144 @@ def test_every_record_replays(name):
             assert os.listdir(out) == [name]
             with open(name, "rb") as fh:
                 assert fh.read() == labels
+        finally:
+            os.chdir(cwd)
+
+
+@pytest.mark.parametrize(
+    "spec",
+    [
+        "3,2,1000000000000000,8,0.0,7",  # numpy describes it, cannot allocate it
+        "3,2,1000000000000000000,8,0.0,7",  # too many bytes to describe
+        "3,2,1000000000000000000000000000000,8,0.0,7",  # D past any dimension
+        "3,2,50,1000000000000000000000000000000,0.0,7",
+    ],
+    ids=["memory", "bytes", "rows", "columns"],
+)
+def test_oversized_synth_exits_input(tmp_path, spec):
+    out = tmp_path / "l.csv"
+    proc = run_module("--synth", spec, "--out-labels", str(out))
+    assert proc.returncode == EXIT_INPUT
+    assert proc.stderr.startswith("ssclust: ingest: ")
+    assert proc.stderr.count("\n") == 1
+    assert "Traceback" not in proc.stderr
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_memory_error_at_export_exits_input(tmp_path, monkeypatch, capsys):
+    def exhausted_export(value, path):
+        raise MemoryError
+
+    monkeypatch.setattr(ssclust.cli, "export_heatmap", exhausted_export)
+    labels = tmp_path / "labels.csv"
+    labels.write_bytes(b"index,label\n0,7\n")
+    argv = ["--synth", "2,2,20,4,0.0,0", "--max-iter", "50", "--out-labels", str(labels)]
+    assert main(argv + ["--out-w", str(tmp_path / "w.pgm")]) == EXIT_INPUT
+    last = capsys.readouterr().err.splitlines()[-1]
+    assert last == "ssclust: export: the input is too large for this machine"
+    assert labels.read_bytes() == b"index,label\n0,7\n"
+    assert [p.name for p in tmp_path.iterdir()] == ["labels.csv"]
+
+
+# pools for the contract test: small working values, and the values a
+# careless or hostile caller passes; each is given as --flag=value, so a
+# leading '-' stays a value
+HOSTILE = ("-1", "0", "nan", "inf", "-inf", "1e308", "5e-324")
+OPTIONAL_FLAGS = (
+    ("--mu", ("10", "40.0", "1e3")),
+    ("--rho", ("10", "30.0", "1e3")),
+    ("--tol-primal", ("1e-4", "1e-3")),
+    ("--tol-change", ("1e-4", "1e-3")),
+    ("--k", ("1", "2", "3")),
+    ("--k-max", ("1", "2", "3")),
+    ("--spectral-seed", ("0", "1")),
+    ("--restarts", ("1", "2", "3")),
+)
+OUTPUTS = (("w", "w.pgm"), ("c", "c.pgm"), ("conv", "conv.csv"), ("meta", "run.txt"))
+CONFIG_LINES = (
+    "normalize=true", "k=2", "tol_change=1e-3", "# comment", "",
+    "normalize=yes", "colour=red", "no equals sign", "mu=\xe9", "rho=nan",
+)
+
+
+@st.composite
+def cli_cases(draw):
+    """An argv, optional config-file lines, and the PGM frames it reads."""
+
+    def value(*good, hostile=HOSTILE):  # a working value 19 times in 20
+        pool = hostile if draw(st.integers(0, 19)) == 19 else good
+        return draw(st.sampled_from(pool))
+
+    source = draw(st.sampled_from(["synth"] * 4 + ["frames"] * 3 + ["both", "none"]))
+    argv, frames = [], []
+    if source in ("synth", "both"):
+        fields = (
+            value("1", "2", "3"), value("1", "2"), value("3", "5", "20"),
+            value("2", "3", "4"), value("0.0", "0.01", "0.1"), value("0", "1", "7"),
+        )
+        argv.append("--synth=" + ",".join(fields))
+    if source in ("frames", "both"):
+        frames = [c[0] for c in draw(st.lists(pgm_files(), min_size=1, max_size=4))]
+        argv.append("--frames=frames/*.pgm")
+    for flag, good in OPTIONAL_FLAGS:
+        if draw(st.booleans()):
+            argv.append(f"{flag}={value(*good)}")
+    if draw(st.booleans()):
+        argv.append(f"--project={value('2', '5', '30')},{value('0', '1')}")
+    if draw(st.booleans()):
+        argv.append("--normalize")
+    argv.append(f"--max-iter={value('1', '5', '30', hostile=('-1', '0'))}")
+    for kind, name in OUTPUTS:
+        if draw(st.booleans()):
+            argv.append(f"--out-{kind}={name}")
+    config = None
+    if draw(st.integers(0, 3)) == 3:
+        config = draw(st.lists(st.sampled_from(CONFIG_LINES), max_size=3))
+    return argv, config, frames
+
+
+@settings(max_examples=50, deadline=None)
+@given(cli_cases())
+# sizes past any address space: MemoryError, and arrays numpy cannot describe
+@example((["--synth=3,2,1000000000000000,8,0.0,7", "--max-iter=5"], None, []))
+@example((["--synth=3,2,1000000000000000000,8,0.0,7", "--max-iter=5"], None, []))
+@example(
+    (["--synth=3,2,1000000000000000000000000000000,8,0.0,7", "--max-iter=5"], None, [])
+)
+@example(
+    (["--synth=3,2,50,1000000000000000000000000000000,0.0,7", "--max-iter=5"], None, [])
+)
+def test_cli_contract(case):
+    # any input: a contract exit code, no exception out of main, and on
+    # failure the existing labels kept and no file added
+    argv, config, frames = case
+    cwd = os.getcwd()
+    with tempfile.TemporaryDirectory() as top:
+        os.chdir(top)
+        try:
+            os.mkdir("frames")
+            for i, content in enumerate(frames):
+                with open(os.path.join("frames", f"f{i}.pgm"), "wb") as fh:
+                    fh.write(content)
+            if config is not None:
+                with open("run.cfg", "wb") as fh:
+                    fh.write("\n".join(config).encode("latin-1"))
+                argv = [*argv, "--config=run.cfg"]
+            with open("labels.csv", "wb") as fh:
+                fh.write(b"index,label\n0,7\n")
+            before = sorted(os.listdir("."))
+            err = io.StringIO()
+            with contextlib.redirect_stderr(err):
+                try:
+                    code = main([*argv, "--out-labels=labels.csv"])
+                except SystemExit as exc:  # argparse refusing a flag value
+                    code = exc.code
+            assert code in (EXIT_OK, EXIT_CONFIG, EXIT_INPUT, EXIT_DIVERGED, EXIT_IO)
+            if code != EXIT_OK:
+                assert err.getvalue().splitlines()[-1].startswith("ssclust: ")
+                assert sorted(os.listdir(".")) == before
+                with open("labels.csv", "rb") as fh:
+                    assert fh.read() == b"index,label\n0,7\n"
         finally:
             os.chdir(cwd)
 

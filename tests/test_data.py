@@ -323,6 +323,10 @@ def test_synth_parameter_validation():
         synth_union_of_subspaces(2, 2, 10, 4, noise_sigma=float("nan"))
     with pytest.raises(InputError):
         synth_union_of_subspaces(2, 2, 10, 4, seed=-1)
+    # arrays numpy cannot describe: refused before any draw
+    for K, d, D, n_per in ((3, 2, 10**18, 8), (3, 2, 10**30, 8), (3, 2, 50, 10**30)):
+        with pytest.raises(InputError):
+            synth_union_of_subspaces(K, d, D, n_per)
 
 
 def test_export_heatmap_exact_bytes(tmp_path):
