@@ -178,6 +178,12 @@ def _check(args):
     for key, value in seeds.items():
         if value is not None and value < 0:
             raise ConfigError(f"{key} must be >= 0, got {value}")
+    seen = {}  # two outputs on one file: the later move would lose the first
+    for key, path in vars(args).items():
+        if key.startswith("out_") and path is not None:
+            first = seen.setdefault(os.path.realpath(path), key[4:])
+            if first != key[4:]:
+                raise ConfigError(f"--out-{first} and --out-{key[4:]} name one file")
     if args.out_meta is not None:  # each recorded value must replay unchanged
         for key, value in vars(args).items():
             if key == "config" or not isinstance(value, str):

@@ -106,19 +106,23 @@ def load_frame(path):
 
 
 def load_frames(paths):
-    """Load a list of PGM paths into a list of Frames of uniform dimensions."""
+    """Load a list of PGM paths into Frames of the first frame's dimensions.
+
+    Each frame's size is compared with the first frame's as soon as it is
+    read; a mismatch raises InputError naming those two files.
+    """
     if not paths:
         raise InputError("no frame files given")
     frames = []
     for p in paths:
-        width, height, pixels = load_frame(p)
-        frames.append(Frame(str(p), width, height, pixels))
-    shapes = {(f.width, f.height) for f in frames}
-    if len(shapes) > 1:
-        offenders = ", ".join(
-            f"{f.path} ({f.width}x{f.height})" for f in frames
-        )
-        raise InputError(f"frames differ in dimensions: {offenders}")
+        frame = Frame(str(p), *load_frame(p))
+        first = frames[0] if frames else frame
+        if (frame.width, frame.height) != (first.width, first.height):
+            raise InputError(
+                f"frames differ in dimensions: {first.path} ({first.width}x"
+                f"{first.height}), {frame.path} ({frame.width}x{frame.height})"
+            )
+        frames.append(frame)
     return frames
 
 
@@ -150,11 +154,12 @@ def normalize_columns(Y):
 def synth_union_of_subspaces(K, d, D, n_per, noise_sigma=0.0, seed=0):
     """Sample K clusters of n_per unit points from random d-dim subspaces.
 
-    Bases are orthonormalized Gaussian draws, redrawn (up to 100 times)
-    until every cross-subspace principal-angle cosine is at most 0.9 so
-    that clusters are genuinely distinct.  Points are unit coefficient
-    vectors mapped through the bases, plus an optional unit-direction
-    noise term of magnitude noise_sigma; columns are then renormalized.
+    Bases are orthonormalized Gaussian draws, each kept only if all its
+    principal-angle cosines with the kept bases are at most 0.9, so that
+    clusters are genuinely distinct; a clash starts the draw of all K again
+    (InputError after 100 attempts).  Points are unit coefficient vectors
+    mapped through the bases, plus an optional unit-direction noise term of
+    magnitude noise_sigma; columns are then renormalized.
     """
     if not (1 <= d < D):
         raise InputError(f"need 1 <= d < D, got d={d}, D={D}")
@@ -169,47 +174,36 @@ def synth_union_of_subspaces(K, d, D, n_per, noise_sigma=0.0, seed=0):
         raise InputError(f"a {D} x {width} array of floats is too large to describe")
 
     rng = np.random.default_rng(seed)
-    bases = None
     for _ in range(MAX_BASIS_RETRIES):
-        candidate = []
-        for _ in range(K):
+        bases = []
+        while len(bases) < K:
             B, _ = np.linalg.qr(rng.standard_normal((D, d)))
-            candidate.append(B)
-        if _well_separated(candidate):
-            bases = candidate
+            cosines = (np.linalg.svd(A.T @ B, compute_uv=False) for A in bases)
+            if any(c.max() > SEPARATION_COSINE for c in cosines):
+                break
+            bases.append(B)
+        else:  # no clash: all K kept
             break
-    if bases is None:
+    else:
         raise InputError(
             f"could not draw {K} subspaces of dim {d} in R^{D} with "
             f"pairwise principal cosines <= {SEPARATION_COSINE} "
             f"after {MAX_BASIS_RETRIES} attempts"
         )
 
-    cols = []
-    labels = []
-    for k, B in enumerate(bases):
+    Y = np.empty((D, K * n_per))
+    for B, block in zip(bases, np.hsplit(Y, K)):  # each block is a view of Y
         coeffs = rng.standard_normal((d, n_per))
         coeffs /= np.linalg.norm(coeffs, axis=0)
-        block = B @ coeffs
+        block[...] = B @ coeffs
         if noise_sigma > 0:
             noise = rng.standard_normal((D, n_per))
             noise /= np.linalg.norm(noise, axis=0)
-            block = block + noise_sigma * noise
-        cols.append(block)
-        labels.extend([k] * n_per)
-    Y = normalize_columns(np.hstack(cols))
+            block += noise_sigma * noise
     return SyntheticDataset(
-        Y=Y, labels=np.array(labels), bases=bases, noise_sigma=noise_sigma
+        Y=normalize_columns(Y), labels=np.repeat(np.arange(K), n_per),
+        bases=bases, noise_sigma=noise_sigma,
     )
-
-
-def _well_separated(bases):
-    for i in range(len(bases)):
-        for j in range(i + 1, len(bases)):
-            cosines = np.linalg.svd(bases[i].T @ bases[j], compute_uv=False)
-            if cosines.max() > SEPARATION_COSINE:
-                return False
-    return True
 
 
 def export_heatmap(M, path):

@@ -195,9 +195,7 @@ def cluster(W, k_override=None, seed=0, k_max=None, restarts=10):
     n = W.shape[0]
     L = normalized_laplacian(W)
     eigenvalues, eigenvectors = symmetric_eigendecomposition(L)
-    if k_override is not None:
-        if not 1 <= k_override <= n:
-            raise InputError(f"k must be in [1, {n}], got {k_override}")
+    if k_override is not None:  # kmeans checks 1 <= k <= n
         k = int(k_override)
     else:
         if k_max is None:

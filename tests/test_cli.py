@@ -361,7 +361,7 @@ def test_k_override_flag(tmp_path):
 REPO = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
 
-def run_python(*args, cwd=None):
+def run_python(*args, cwd=None, timeout=None):
     """Run the interpreter in a child that imports this process's package."""
     src = os.path.dirname(os.path.dirname(ssclust.__file__))
     path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
@@ -371,12 +371,13 @@ def run_python(*args, cwd=None):
         text=True,
         cwd=cwd,
         env=dict(os.environ, PYTHONPATH=path),
+        timeout=timeout,
     )
 
 
-def run_module(*args):
+def run_module(*args, timeout=None):
     """Run `python -m ssclust` in a child that imports this process's package."""
-    return run_python("-m", "ssclust", *args)
+    return run_python("-m", "ssclust", *args, timeout=timeout)
 
 
 def test_console_entry_point():
@@ -475,6 +476,29 @@ def test_non_ascii_record_value_exits_config(tmp_path):
     assert sorted(p.name for p in tmp_path.iterdir()) == ["donnée", "labels.csv"]
 
 
+@pytest.mark.parametrize(
+    "first, second",
+    [
+        ("--out-labels", "--out-conv"),
+        ("--out-w", "--out-meta"),
+        ("--out-labels", "--out-c"),
+    ],
+)
+def test_outputs_naming_one_file_exit_config(tmp_path, capsys, first, second):
+    # the later move onto the file would silently replace the earlier output;
+    # the message names the flags in their declaration order
+    target = tmp_path / "x.csv"
+    target.write_bytes(b"index,label\n0,7\n")
+    same = os.path.join(str(tmp_path), ".", "x.csv")  # another spelling
+    argv = ["--synth", "3,2,50,8,0.0,7", first, str(target), second, same]
+    assert main(argv) == EXIT_CONFIG
+    assert capsys.readouterr().err == (
+        f"ssclust: config: {first} and {second} name one file\n"
+    )
+    assert target.read_bytes() == b"index,label\n0,7\n"
+    assert list(tmp_path.iterdir()) == [target]
+
+
 @pytest.mark.parametrize("name", ["x\ny.csv", "x\ry.csv"], ids=["LF", "CR"])
 def test_line_break_in_record_value_exits_config(tmp_path, name):
     # a recorded value is one line of the record; a line break in it would
@@ -543,12 +567,14 @@ def test_every_record_replays(name):
         "3,2,1000000000000000000,8,0.0,7",  # too many bytes to describe
         "3,2,1000000000000000000000000000000,8,0.0,7",  # D past any dimension
         "3,2,50,1000000000000000000000000000000,0.0,7",
+        "1000000000000,1,2,1,0.0,0",  # more distinct lines than the plane holds
     ],
-    ids=["memory", "bytes", "rows", "columns"],
+    ids=["memory", "bytes", "rows", "columns", "unattainable"],
 )
 def test_oversized_synth_exits_input(tmp_path, spec):
     out = tmp_path / "l.csv"
-    proc = run_module("--synth", spec, "--out-labels", str(out))
+    # a generator that tries every one of K draws would never return
+    proc = run_module("--synth", spec, "--out-labels", str(out), timeout=60)
     assert proc.returncode == EXIT_INPUT
     assert proc.stderr.startswith("ssclust: ingest: ")
     assert proc.stderr.count("\n") == 1
@@ -639,6 +665,8 @@ def cli_cases(draw):
 @example(
     (["--synth=3,2,50,1000000000000000000000000000000,0.0,7", "--max-iter=5"], None, [])
 )
+# more distinct subspaces than fit: refused within 100 short attempts
+@example((["--synth=1000000000000,1,2,1,0.0,0", "--max-iter=5"], None, []))
 def test_cli_contract(case):
     # any input: a contract exit code, no exception out of main, and on
     # failure the existing labels kept and no file added

@@ -199,8 +199,9 @@ def test_load_frame_any_bytes_give_frame_or_format_error(pgm_path, prefix, rest)
 def test_load_frames_dimension_mismatch(tmp_path):
     a = write_p2(tmp_path / "a.pgm", "P2\n1 1\n255\n0\n")
     b = write_p2(tmp_path / "b.pgm", "P2\n2 1\n255\n0 0\n")
+    c = write_p2(tmp_path / "c.pgm", "P2\n1 1\n")  # malformed, never read
     with pytest.raises(InputError) as err:
-        load_frames([a, b])
+        load_frames([a, b, c])
     msg = str(err.value)
     assert "a.pgm" in msg and "b.pgm" in msg
     with pytest.raises(InputError):
@@ -327,6 +328,9 @@ def test_synth_parameter_validation():
     for K, d, D, n_per in ((3, 2, 10**18, 8), (3, 2, 10**30, 8), (3, 2, 50, 10**30)):
         with pytest.raises(InputError):
             synth_union_of_subspaces(K, d, D, n_per)
+    # more distinct lines than the plane holds: each attempt stops at its clash
+    with pytest.raises(InputError, match="could not draw"):
+        synth_union_of_subspaces(10**12, 1, 2, 1)
 
 
 def test_export_heatmap_exact_bytes(tmp_path):
