@@ -9,12 +9,40 @@ by alternating a linear-system update of A, a soft-threshold update of C,
 and ascent steps on the Lagrange multipliers (delta, Delta) of the two
 constraints.  The multipliers are kept in scaled form, u = delta / rho and
 U = Delta / rho (Boyd et al. 2011, section 3.1.1), so no step scales an
-N x N array by rho: `update_c` reads rho only as its shrink level, and the
-multiplier step adds the residuals as they are.  The A-update applies the
-inverse of its normal matrix through a thin factor of Y of numerical rank
-r <= min(D, N), the singular values above the `np.linalg.matrix_rank`
-tolerance (see `FactorizationCache`), so an iteration costs O(N^2 r) for
-two thin products plus O(N^2) elementwise passes.
+N x N array by rho.  The A-update applies the inverse of its normal matrix
+through a thin factor of Y of numerical rank r <= min(D, N), taken from
+the eigendecomposition of the smaller of Y^T Y and Y Y^T (see
+`FactorizationCache`).  With S = C - U it reads
+
+    A = S - L E,   E = Q^T S - Q^T + v u^T,
+
+so an iteration costs one (r + 1) x N x N product for E, the same again
+for L E, and O(N^2) elementwise work.  The affine residual A^T 1 - 1 and
+the step on u, u += A^T 1 - 1 (`update_multipliers`), need no pass over
+A: since Q's first column is 1, E's first row is S^T 1 - 1 + u, and
+A^T 1 = S^T 1 - E^T (L^T 1) (`FactorizationCache.affine_residual`).
+
+The solve holds three N x N arrays, C, U and S = C - U, and does the rest
+of an iteration's work in one pass over tiles of consecutive rows,
+max(1, TILE_ELEMENTS // N) rows each, so that every step of a tile finds
+its rows still in cache.  For the rows b of a tile:
+
+    A_b = S_b - L_b E                                   (update_a)
+    J_b = A_b + U_b
+    U_b <- clip(J_b, -1/rho, 1/rho), with U_ii = J_ii
+    C+_b = J_b - U_b                                    (update_c)
+    max |A_b - C+_b|, max |C+_b - C_b|, and on
+    balancing iterations their squared norms           (residual_report)
+    C_b <- C+_b,  S_b <- C_b - U_b
+
+The multiplier step on U is taken by the shrink.  By the Moreau
+decomposition of the l1 prox (Parikh & Boyd 2014, section 2.5), the
+shrink of J at level 1/rho is J - clip(J, -1/rho, 1/rho), so the ascent
+step U + A - C+ = J - C+ is clip(J) off the diagonal and J_ii on it, where
+C+ is zero.  U is not scanned for non-finite entries: one can only come
+from a non-finite J entry, which leaves a non-finite entry in C+
+(inf - inf on the diagonal), so max |A - C+| and max |C+ - C| are
+non-finite in the same iteration.
 
 Unless rho is given, it starts at mu and is balanced in a damped window
 (Boyd et al. 2011, section 3.4.1): every BALANCE_EVERY iterations up to
@@ -22,16 +50,15 @@ iteration BALANCE_UNTIL, rho is multiplied by BALANCE_FACTOR when the
 primal residual norm sqrt(||A^T 1 - 1||^2 + ||A - C||_F^2) exceeds
 BALANCE_RATIO times the dual residual norm rho ||C - C_prev||_F, and
 divided by it in the opposite case.  A change of rho by t divides u and U
-by t and refactors only an N x r block (`FactorizationCache.set_rho`).
-After the window rho stays fixed, so the usual fixed-rho convergence
-argument holds for the rest of the run.
+by t, forms S again, and refactors only an N x r block
+(`FactorizationCache.set_rho`).  After the window rho stays fixed, so the
+usual fixed-rho convergence argument holds for the rest of the run.
 
 The steps take and return plain arrays, and write into the `out`/`work`
-arrays they are given.  `solve_ssc` allocates its five N x N float arrays
-(A, C, the previous C, U and one work array) once and runs every
-iteration in them.  Every C handed to a step has an exactly zero
-diagonal, because `update_c` zeroes it, so the A-update uses C as given.
-The solver is deterministic: identical inputs produce identical iterates.
+arrays they are given.  The solver is deterministic: identical inputs
+produce identical iterates.  They agree with the textbook loop (U += A - C
+and A^T 1 - 1 on whole arrays) up to rounding: U is rounded once, as
+clip(J), instead of twice, and A^T 1 is formed from E.
 """
 
 import math
@@ -46,6 +73,17 @@ BALANCE_EVERY = 10
 BALANCE_UNTIL = 500
 BALANCE_RATIO = 10.0
 BALANCE_FACTOR = 2.0
+
+# Elements of an N x N array in one tile of the solve's elementwise pass:
+# three float64 tiles take 768 KB and stay in a core's L2 cache.  The size
+# is set in bytes, not rows: fixed 32-row tiles made the N = 200 default
+# run slower, as their extra numpy calls cost more than the cache saved.
+TILE_ELEMENTS = 2**15
+
+
+def tile_rows(n):
+    """Rows per tile of the elementwise pass over an N x N array."""
+    return max(1, TILE_ELEMENTS // n)
 
 
 def check_data_matrix(Y):
@@ -121,25 +159,29 @@ class SolveReport:
 class FactorizationCache:
     """M^-1 for M = mu Y^T Y + rho I + rho 1 1^T, through a thin factor of Y.
 
-    The thin SVD Y = W diag(s) V^T gives mu Y^T Y = F F^T with
-    F = sqrt(mu) V_r diag(s_r), where r counts the singular values above
-    s_0 max(D, N) eps, the tolerance of `np.linalg.matrix_rank`.  Around
-    B = rho (I + 1 1^T), whose inverse is (I - 1 1^T / (N + 1)) / rho, the
-    Woodbury identity gives
+    mu Y^T Y = F F^T is taken from the eigendecomposition of the smaller
+    Gram matrix: for D >= N, Y^T Y = V diag(lam) V^T gives
+    F = sqrt(mu) V_r diag(sqrt(lam_r)); for D < N, Y Y^T = W diag(lam) W^T
+    gives F = sqrt(mu) Y^T W_r.  r counts the eigenvalues above
+    lam_0 max(D, N) eps, the rounding floor of the Gram matrix itself, so
+    the components dropped change M by no more than forming mu Y^T Y in
+    floating point does.  `gram`, when given, is Y^T Y; it saves forming
+    it again for D >= N.  Around B = rho (I + 1 1^T), whose inverse is
+    (I - 1 1^T / (N + 1)) / rho, the Woodbury identity gives
 
         M^-1 = B^-1 - G K^-1 G^T,   G = B^-1 F,   K = I + F^T G,
 
     where the r x r matrix K is SPD with eigenvalues >= 1.  The cache holds
     this as M^-1 = (I - L Q^T) / rho with the N x (r + 1) factors
     Q = [1, rho G], kept transposed as `Qt`, and L = [1 / (N + 1), G K^-1].
-    Applying M^-1 thus costs two thin products, O(N^2 r); the cache holds
-    no N x N matrix, and the loop in `solve_ssc` holds five.
-    v = (N + 1) e_0 - Q^T 1 carries the multiplier u through the A-update.
-    `bench/trace_child.py` times this class, by this name, as `admm.factor`.
+    Applying M^-1 thus costs two thin products, O(N^2 r), and the cache
+    holds no N x N matrix.  v = (N + 1) e_0 - Q^T 1 carries the multiplier
+    u through the A-update.  `bench/trace_child.py` times this class, by
+    this name, as `admm.factor`.
     """
 
-    def __init__(self, Y, mu, rho):
-        n = Y.shape[1]
+    def __init__(self, Y, mu, rho, gram=None):
+        d, n = Y.shape
         # overflow is caught by the finiteness checks, not reported as a warning
         with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
             # M's largest entry, since |y_i^T y_j| <= max_i ||y_i||^2
@@ -148,11 +190,16 @@ class FactorizationCache:
                     "non-finite normal matrix at iteration 0; "
                     "mu, rho, or the data scale overflows"
                 )
-            _, s, Vt = np.linalg.svd(Y, full_matrices=False)
-            r = int(np.count_nonzero(s > s[0] * max(Y.shape) * np.finfo(float).eps))
-            F = np.sqrt(mu) * (Vt[:r].T * s[:r])
+            if d >= n:  # Y^T Y = V diag(lam) V^T
+                lam, V = np.linalg.eigh(Y.T @ Y if gram is None else gram)
+            else:  # Y Y^T = W diag(lam) W^T, held in V
+                lam, V = np.linalg.eigh(Y @ Y.T)
+            keep = lam > lam[-1] * max(d, n) * np.finfo(float).eps
+            thin = V[:, keep] * np.sqrt(lam[keep]) if d >= n else Y.T @ V[:, keep]
+            F = np.sqrt(mu) * thin
             rhoG = F - F.sum(axis=0) / (n + 1)
             self._Ft_rhoG = F.T @ rhoG
+        r = rhoG.shape[1]
         self.Qt = np.vstack([np.ones((1, n)), rhoG.T])
         self.L = np.empty((n, r + 1))
         self.L[:, 0] = 1.0 / (n + 1)
@@ -180,12 +227,34 @@ class FactorizationCache:
                 f"rho = {rho!r} is too small for this data scale"
             )
         self.L[:, 1:] = G_Kinv
+        self._Lt_1 = self.L.sum(axis=0)
+
+    def thin_product(self, S, u):
+        """E = Q^T S - Q^T + v u^T, the (r + 1) x N factor of the A-update.
+
+        S is C - U for the whole N x N iterate; `update_a` reads E for
+        every block of rows.
+        """
+        E = self.Qt @ S
+        E -= self.Qt
+        E += self.v[:, None] * u
+        return E
+
+    def affine_residual(self, E, u):
+        """A^T 1 - 1 for A = S - L E, from E = thin_product(S, u) alone.
+
+        Q's first column is 1 and v's first entry is 1, so E's first row is
+        S^T 1 - 1 + u, and A^T 1 = S^T 1 - E^T (L^T 1): no pass over A.
+        """
+        return E[0] - u - self._Lt_1 @ E
 
 
 def _mu_from_gram(gram):
-    """DEFAULT_MU_SCALE / max off-diagonal coherence; zeroes gram's diagonal."""
+    """DEFAULT_MU_SCALE / max off-diagonal coherence; gram is left as given."""
+    diagonal = gram.diagonal().copy()
     np.fill_diagonal(gram, 0.0)
     coh = _max_abs(gram)
+    np.fill_diagonal(gram, diagonal)
     if coh <= 0.0:
         return DEFAULT_MU_SCALE  # mutually orthogonal columns; any weight works
     return float(DEFAULT_MU_SCALE / coh)
@@ -196,7 +265,7 @@ def _max_abs(x):
     return float(max(x.max(), -x.min()))
 
 
-def update_a(C, U, u, cache, out=None, work=None):
+def update_a(S, E, L, out=None):
     """Minimize the augmented Lagrangian over A with C, u, U fixed.
 
     Solves M A = mu Y^T Y + rho (1 1^T + C - 1 u^T - U).  That right-hand
@@ -204,53 +273,54 @@ def update_a(C, U, u, cache, out=None, work=None):
     with M^-1 = (I - L Q^T) / rho the identity and rho cancel, and L's first
     column, 1 / (N + 1), absorbs 1 u^T:
 
-        A = S - L (Q^T S - Q^T + v u^T),   S = C - U.
+        A = S - L E,   S = C - U,   E = Q^T S - Q^T + v u^T,
 
-    C must have an exactly zero diagonal (every C from `update_c` has one);
-    it stands in for C - diag(C) as it is.  A is written to `out` and S to
-    `work`, two N x N arrays distinct from each other and from the inputs.
+    where E is `FactorizationCache.thin_product(S, u)`.  S and L may be
+    the same rows of the whole S and L, which gives those rows of A.  C
+    must have an exactly zero diagonal (every C from `update_c` has one);
+    it stands in for C - diag(C) as it is.  A is written to `out`, an
+    array distinct from S.
     """
-    S = np.subtract(C, U, out=work)
-    E = cache.Qt @ S
-    E -= cache.Qt
-    E += cache.v[:, None] * u
-    A = np.matmul(cache.L, E, out=out)
+    A = np.matmul(L, E, out=out)
     return np.subtract(S, A, out=A)
 
 
-def update_c(A, U, rho, out=None, work=None):
-    """Soft-threshold A + U at level 1/rho and zero the diagonal.
+def update_c(A, U, rho, out=None, work=None, lo=0):
+    """Soft-threshold J = A + U at level 1/rho and zero the diagonal.
 
-    The result is written to `out` and the shrink's clipped part to `work`,
-    two N x N arrays distinct from each other and from the inputs.
+    A and U may hold rows lo, lo + 1, ... of N x N matrices; the diagonal
+    is then the block's entries (i, lo + i).  The shrink is taken as
+    J - clip(J, -1/rho, 1/rho).  The clipped part goes to `work`, with
+    J_ii itself on the diagonal, so the result J - work has an exactly zero
+    diagonal, and work = U + A - C is the next scaled multiplier U; the
+    solve passes U itself as `work`.  A non-finite J_ii gives a NaN C_ii.
+    The result is written to `out`; `out` and `work` are distinct from each
+    other and from A, and `out` from U.
     """
     J = np.add(A, U, out=out)
-    J = soft_threshold(J, 1.0 / rho, out=J, work=work)
-    np.fill_diagonal(J, 0.0)
-    return J
+    work = J.clip(-1.0 / rho, 1.0 / rho, out=work)
+    work.flat[lo :: J.shape[1] + 1] = J.diagonal(lo)
+    return np.subtract(J, work, out=J)
 
 
-def update_multipliers(u, U, residuals):
-    """Ascent step on the scaled multipliers: u += A^T 1 - 1, U += A - C.
+def update_multipliers(u, affine):
+    """Ascent step on the scaled multiplier u: u += A^T 1 - 1, in place.
 
-    `residuals` is that pair of residuals as `residual_report(..., out=...)`
-    left it.  u and U are updated in place and returned.
+    `affine` is A^T 1 - 1.  The step on U, U += A - C, is taken by
+    `update_c` (see the module docstring).
     """
-    affine, split = residuals
     u += affine
-    U += split
-    return u, U
+    return u
 
 
-def _balance_factor(affine, split, C, C_prev, rho):
+def _balance_factor(affine, split_sq, change_sq, rho):
     """The factor for rho from the primal and dual residual norms.
 
-    `affine` and `split` hold A^T 1 - 1 and A - C as `residual_report`
-    left them; `split` is overwritten with C - C_prev, so no N x N
-    temporary is made.
+    `affine` is A^T 1 - 1, and split_sq and change_sq are ||A - C||_F^2
+    and ||C - C_prev||_F^2, as summed from `residual_report`.
     """
-    primal = math.hypot(np.linalg.norm(affine), np.linalg.norm(split))
-    dual = rho * np.linalg.norm(np.subtract(C, C_prev, out=split))
+    primal = math.hypot(np.linalg.norm(affine), math.sqrt(split_sq))
+    dual = rho * math.sqrt(change_sq)
     if primal > BALANCE_RATIO * dual:
         return BALANCE_FACTOR
     if dual > BALANCE_RATIO * primal:
@@ -258,19 +328,21 @@ def _balance_factor(affine, split, C, C_prev, rho):
     return 1.0
 
 
-def residual_report(A, C, C_prev, out=None):
-    """Return (||A^T 1 - 1||_inf, ||A - C||_inf, ||C - C_prev||_inf).
+def residual_report(A, C, C_prev, work=None, norms=False):
+    """The split and change residuals of a block of rows of A, C and C_prev.
 
-    `out`, a length-N array and an N x N array, is left holding A^T 1 - 1
-    and A - C for `update_multipliers`.
+    Returns the block's (||A - C||_inf, ||C - C_prev||_inf), followed,
+    when `norms`, by ||A - C||_F^2 and ||C - C_prev||_F^2 for the
+    balancing.  The differences are formed in `work`, an array of A's
+    shape.  The affine residual comes from `FactorizationCache`.
     """
-    affine, split = out if out is not None else (None, None)
-    split = np.subtract(C, C_prev, out=split)
-    r_change = _max_abs(split)
-    affine = A.sum(axis=0, out=affine)
-    affine -= 1.0
-    np.subtract(A, C, out=split)
-    return float(np.abs(affine).max()), _max_abs(split), r_change
+    peaks, squares = [], []
+    for left, right in ((A, C), (C, C_prev)):
+        diff = np.subtract(left, right, out=work)
+        peaks.append(_max_abs(diff))
+        if norms:
+            squares.append(float(np.vdot(diff, diff)))
+    return peaks + squares
 
 
 def objective_value(Y, C, mu):
@@ -303,47 +375,73 @@ def solve_ssc(Y, cfg=None):
     if cfg is None:
         cfg = SolverConfig()
     n = Y.shape[1]
+    rows = tile_rows(n)
 
-    # the loop's N x N arrays, written in place; C and C_prev swap roles.
-    # Allocated before the Gram matrix and the SVD: allocated after them,
-    # they raised the peak RSS at N = 1000 by 2.4 MB (90.1 -> 92.5 MB).
-    A, C, C_prev, U, work = (np.zeros((n, n)) for _ in range(5))
-    u, affine = np.zeros(n), np.zeros(n)
-    residuals = (affine, work)  # A^T 1 - 1 and A - C, for the multiplier step
+    # the loop's N x N arrays and tiles, written in place.  Allocated before
+    # the Gram matrix: allocated after it, the N x N arrays raised the peak
+    # RSS at N = 1000 by 2.4 MB (90.1 -> 92.5 MB).
+    C, U, S = (np.zeros((n, n)) for _ in range(3))
+    a_tile, c_tile, diff_tile = (np.empty((min(rows, n), n)) for _ in range(3))
+    u = np.zeros(n)
     history = []
     converged = False
     rho_changes = 0
     # overflow here is detected by the finiteness checks and raised as
     # DivergenceError, so the numpy warnings are redundant
     with np.errstate(over="ignore", invalid="ignore"):
-        mu = float(cfg.mu) if cfg.mu is not None else _mu_from_gram(Y.T @ Y)
+        gram = Y.T @ Y if cfg.mu is None else None
+        mu = float(cfg.mu) if cfg.mu is not None else _mu_from_gram(gram)
         rho = float(cfg.rho) if cfg.rho is not None else mu
-        cache = FactorizationCache(Y, mu, rho)
+        cache = FactorizationCache(Y, mu, rho, gram=gram)
+        del gram  # N x N; the loop does not need it
+        # each tile's first row and its views, made once: every array they
+        # view, L included, is only ever written in place
+        tiles = []
+        for lo in range(0, n, rows):
+            b, h = slice(lo, lo + rows), min(rows, n - lo)
+            views = (S[b], cache.L[b], U[b], C[b], a_tile[:h], c_tile[:h], diff_tile[:h])
+            tiles.append((lo, *views))
+        # per tile: max |A - C|, max |C - C_prev|, and their squared norms
+        tile_residuals = np.empty((len(tiles), 4))
         for iteration in range(1, cfg.max_iter + 1):
-            A = update_a(C, U, u, cache, out=A, work=work)
-            C_prev, C = C, C_prev
-            C = update_c(A, U, rho, out=C, work=work)
-            r_affine, r_split, r_change = residual_report(A, C, C_prev, out=residuals)
-            u, U = update_multipliers(u, U, residuals)
-            # a non-finite A or C makes max |A - C| non-finite
-            finite = np.isfinite(u).all() and np.isfinite(U).all()
-            if not (math.isfinite(r_split) and finite):
+            balance = (
+                cfg.rho is None
+                and iteration % BALANCE_EVERY == 0
+                and iteration <= BALANCE_UNTIL
+            )
+            width = 4 if balance else 2
+            E = cache.thin_product(S, u)
+            affine = cache.affine_residual(E, u)
+            for k, (lo, S_b, L_b, U_b, C_b, a_b, c_b, diff_b) in enumerate(tiles):
+                A_b = update_a(S_b, E, L_b, out=a_b)
+                C_next = update_c(A_b, U_b, rho, out=c_b, work=U_b, lo=lo)
+                tile_residuals[k, :width] = residual_report(
+                    A_b, C_next, C_b, work=diff_b, norms=balance
+                )
+                C_b[...] = C_next
+                np.subtract(C_next, U_b, out=S_b)
+            r_affine = _max_abs(affine)
+            # the maximum over tiles keeps a NaN
+            r_split, r_change = tile_residuals[:, :2].max(axis=0).tolist()
+            u = update_multipliers(u, affine)
+            # a non-finite A, C or U makes max |A - C| or max |C - C_prev|
+            # non-finite, and a non-finite E a non-finite u
+            finite = math.isfinite(r_split) and math.isfinite(r_change)
+            if not (finite and np.isfinite(u).all()):
                 raise DivergenceError(f"non-finite iterate at iteration {iteration}")
             history.append((r_affine, r_split, r_change))
             if max(r_affine, r_split) <= cfg.tol_primal and r_change <= cfg.tol_change:
                 converged = True
                 break
-            if (
-                cfg.rho is None
-                and iteration % BALANCE_EVERY == 0
-                and iteration <= BALANCE_UNTIL
-            ):
-                t = _balance_factor(affine, work, C, C_prev, rho)
+            if balance:
+                split_sq, change_sq = tile_residuals[:, 2:].sum(axis=0)
+                t = _balance_factor(affine, split_sq, change_sq, rho)
                 if t != 1.0:
                     cache.set_rho(rho * t)
                     rho *= t
                     u /= t
                     U /= t
+                    np.subtract(C, U, out=S)
                     rho_changes += 1
 
     report = SolveReport(

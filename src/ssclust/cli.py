@@ -117,7 +117,8 @@ def build_parser():
 def _read_config(text, source):
     """Typed values keyed by flag destination, read from key=value text.
 
-    Lines must be ASCII and split as text-mode `readlines` splits them.
+    Lines must be ASCII without NUL, which no path or number holds, and
+    split as text-mode `readlines` splits them.
     Keys are the long flag names except --config, with '-' and '_'
     interchangeable; '#' comments and blank lines are skipped.
     """
@@ -130,6 +131,8 @@ def _read_config(text, source):
     for lineno, raw in enumerate(io.StringIO(text, newline=None), start=1):
         if not raw.isascii():
             raise ConfigError(f"{source}:{lineno}: not ASCII: {ascii(raw)}")
+        if "\0" in raw:
+            raise ConfigError(f"{source}:{lineno}: NUL byte: {ascii(raw)}")
         line = raw.strip()
         if not line or line.startswith("#"):
             continue

@@ -99,7 +99,8 @@ def test_a_update_stationarity():
         Delta = rng.standard_normal((n, n))
         mu, rho = 4.0, 3.0
         cache = FactorizationCache(Y, mu, rho)
-        A = update_a(C, Delta / rho, delta / rho, cache)
+        S = C - Delta / rho
+        A = update_a(S, cache.thin_product(S, delta / rho), cache.L)
         grad = oracles.fd_gradient_wrt_a(Y, A, C, delta, Delta, mu, rho)
         worst = max(worst, float(np.abs(grad).max()))
     ok = worst <= 1e-6

@@ -16,11 +16,13 @@ from ssclust import (
     solve_ssc,
     synth_union_of_subspaces,
 )
+from ssclust import admm
 from ssclust.admm import (
     FactorizationCache,
     check_data_matrix,
     residual_report,
     soft_threshold,
+    tile_rows,
     update_a,
     update_c,
     update_multipliers,
@@ -104,6 +106,12 @@ def test_default_mu_scaling():
     assert default_mu(np.eye(3)) == pytest.approx(800.0)
 
 
+def _a_update(C, U, u, cache):
+    """The A-update of every row at once."""
+    S = C - U
+    return update_a(S, cache.thin_product(S, u), cache.L)
+
+
 def _random_state(rng, n):
     """A zero-diagonal C and random multipliers (delta, Delta)."""
     C = rng.normal(size=(n, n))
@@ -121,7 +129,7 @@ def test_update_a_fixed_point_at_feasible_c():
     C[1, 0] = C[0, 1] = 1.0
     C[3, 2] = C[2, 3] = 1.0
     cache = FactorizationCache(Y, mu=1.0, rho=1.0)
-    A = update_a(C, np.zeros((4, 4)), np.zeros(4), cache)
+    A = _a_update(C, np.zeros((4, 4)), np.zeros(4), cache)
     assert np.allclose(A, C, atol=1e-10)
 
 
@@ -135,7 +143,7 @@ def test_update_a_matches_dense_solve():
         cache = FactorizationCache(Y, mu, rho)
         # the thin factor keeps exactly the numerical rank of Y
         assert cache.Qt.shape[0] - 1 == np.linalg.matrix_rank(Y)
-        A = update_a(C, Delta / rho, delta / rho, cache)
+        A = _a_update(C, Delta / rho, delta / rho, cache)
         expected = oracles.dense_a_update(Y, C, delta, Delta, mu, rho)
         assert np.max(np.abs(A - expected)) <= 1e-10
 
@@ -163,7 +171,7 @@ def test_update_a_gradient_vanishes():
         C, delta, Delta = _random_state(rng, n)
         mu, rho = 1.5, 2.0
         cache = FactorizationCache(Y, mu, rho)
-        A = update_a(C, Delta / rho, delta / rho, cache)
+        A = _a_update(C, Delta / rho, delta / rho, cache)
         # the Lagrangian is quadratic in A, so a wide central difference has
         # no truncation error and stays clear of the rounding floor of 1e-6
         grad = oracles.fd_gradient_wrt_a(Y, A, C, delta, Delta, mu, rho, step=1e-3)
@@ -230,70 +238,89 @@ def test_update_c_matches_scalar_oracle():
     assert np.max(np.abs(np.diag(C))) == 0.0
 
 
-def _multiplier_step(u, U, A, C):
-    """Residuals as the solve leaves them, then the step on (u, U)."""
-    residuals = (np.empty(A.shape[1]), np.empty_like(A))
-    residual_report(A, C, C, out=residuals)
-    out = update_multipliers(u, U, residuals)
-    assert out[0] is u and out[1] is U  # updated in place, not copied
-    return out
-
-
 def test_update_multipliers_examples():
     # column sums 1.1 and 0.95 -> u gains the residual (0.1, -0.05)
     A = np.array([[1.1, 0.95], [0.0, 0.0]])
-    u, U = _multiplier_step(np.zeros(2), np.zeros((2, 2)), A, A)
+    u = np.zeros(2)
+    assert update_multipliers(u, A.sum(axis=0) - 1.0) is u  # updated in place
     assert np.allclose(u, [0.1, -0.05])
-    assert np.array_equal(U, np.zeros((2, 2)))
 
-    # feasible pair: both multipliers unchanged
+    # the step on U is the shrink's: a feasible pair whose U is sgn(C) / rho
+    # on the support is a fixed point of both
     C = np.array([[0.0, 1.0], [1.0, 0.0]])
-    u0 = np.array([0.4, -0.2])
-    U0 = np.array([[0.0, 0.3], [-0.1, 0.0]])
-    u1, U1 = _multiplier_step(u0.copy(), U0.copy(), C, C)
-    assert np.array_equal(u1, u0)
-    assert np.array_equal(U1, U0)
+    U0 = np.array([[0.0, 0.25], [0.25, 0.0]])
+    U = U0.copy()
+    assert np.array_equal(update_c(C, U, rho=4.0, work=U), C)
+    assert np.array_equal(U, U0)
 
-    # A - C = all ones: U gains exactly ones
-    n = 3
-    A = np.ones((n, n))
-    _, U2 = _multiplier_step(np.zeros(n), np.zeros((n, n)), A, np.zeros((n, n)))
-    assert np.array_equal(U2, np.ones((n, n)))
+    # from U = 0: U gains exactly A - C, which is clip(A) off the diagonal
+    # and A_ii on it
+    A = np.array([[2.0, -3.0, 0.5], [0.25, 4.0, -0.75], [1.5, -0.5, -2.0]])
+    U = np.zeros((3, 3))
+    C = update_c(A, U, rho=1.0, work=U)
+    assert np.array_equal(C, [[0.0, -2.0, 0.0], [0.0, 0.0, 0.0], [0.5, 0.0, 0.0]])
+    assert np.array_equal(U, A - C)
 
 
 def test_update_multipliers_deterministic_recompute():
     rng = np.random.default_rng(33)
     A = rng.normal(size=(4, 4))
-    C = rng.normal(size=(4, 4))
     u0 = rng.normal(size=4)
     U0 = rng.normal(size=(4, 4))
-    first = _multiplier_step(u0.copy(), U0.copy(), A, C)
-    second = _multiplier_step(u0.copy(), U0.copy(), A, C)
-    assert np.array_equal(first[0], second[0])
-    assert np.array_equal(first[1], second[1])
-    # the scaled step adds the residuals as they are
-    assert np.array_equal(first[0], u0 + (A.sum(axis=0) - 1.0))
-    assert np.array_equal(first[1], U0 + (A - C))
+    affine = A.sum(axis=0) - 1.0
+    steps = []
+    for _ in range(2):
+        U = U0.copy()
+        C = update_c(A, U, rho=2.0, work=U)
+        steps.append((update_multipliers(u0.copy(), affine), C, U))
+    (u1, C1, U1), (u2, C2, U2) = steps
+    assert np.array_equal(u1, u2) and np.array_equal(C1, C2) and np.array_equal(U1, U2)
+    # the scaled step adds the residuals as they are: exactly for u, and
+    # for U up to the rounding of forming U0 + (A - C) instead of clip(J)
+    assert np.array_equal(u1, u0 + affine)
+    assert np.max(np.abs(U1 - (U0 + (A - C1)))) <= 1e-15 * np.max(np.abs(A + U0))
+    assert np.array_equal(np.diag(U1), np.diag(A + U0))
+    assert np.max(np.abs(U1 - np.diag(np.diag(U1)))) <= 0.5
 
 
 def test_residual_report_cases():
     zeros = np.zeros((3, 3))
-    r1, _, _ = residual_report(zeros, zeros, zeros)
-    assert r1 == 1.0  # all-zero A: column sums miss 1 by exactly 1
+    assert residual_report(zeros, zeros, zeros) == [0.0, 0.0]
 
-    # feasible state reports zero primal residuals
+    # feasible state reports a zero split residual
     C = np.array([[0.0, 1.0], [1.0, 0.0]])
-    r1, r2, _ = residual_report(C, C, np.zeros((2, 2)))
-    assert r1 == 0.0 and r2 == 0.0
+    r2, _ = residual_report(C, C, np.zeros((2, 2)))
+    assert r2 == 0.0
 
     # hand 2x2 case against a scalar computation
     A = np.array([[0.6, 0.2], [0.3, 0.9]])
     C = np.array([[0.0, 0.25], [0.35, 0.0]])
     C_prev = np.array([[0.0, 0.2], [0.3, 0.0]])
-    r1, r2, r3 = residual_report(A, C, C_prev)
-    assert r1 == pytest.approx(max(abs(0.6 + 0.3 - 1), abs(0.2 + 0.9 - 1)))
-    assert r2 == pytest.approx(0.9)  # A[1,1] - C[1,1]
-    assert r3 == pytest.approx(0.05)
+    whole = residual_report(A, C, C_prev, norms=True)
+    assert whole == pytest.approx([0.9, 0.05, 0.6**2 + 2 * 0.05**2 + 0.9**2, 2 * 0.05**2])
+    # a row at a time: the maxima and squares per row
+    rows = [
+        residual_report(A[i : i + 1], C[i : i + 1], C_prev[i : i + 1], norms=True)
+        for i in range(2)
+    ]
+    assert np.max(rows, axis=0)[:2].tolist() == whole[:2]
+    assert np.sum(rows, axis=0)[2:] == pytest.approx(whole[2:])
+
+
+def test_affine_residual_matches_column_sums():
+    # A^T 1 - 1 read off the thin product equals the column sums of A
+    rng = np.random.default_rng(34)
+    for d, n in ((4, 7), (9, 6), (3, 40)):
+        Y = rng.normal(size=(d, n))
+        C, delta, Delta = _random_state(rng, n)
+        cache = FactorizationCache(Y, mu=3.0, rho=2.0)
+        for rho in (2.0, 16.0):
+            cache.set_rho(rho)
+            S, u = C - Delta / rho, delta / rho
+            E = cache.thin_product(S, u)
+            want = update_a(S, E, cache.L).sum(axis=0) - 1.0
+            got = cache.affine_residual(E, u)
+            assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(S))
 
 
 def test_solve_ssc_duplicate_columns():
@@ -370,6 +397,7 @@ def test_solve_ssc_matches_reference_loop():
     # The default balances rho; the second solve keeps rho = mu fixed.
     rng = np.random.default_rng(46)
     Y = oracles.subspace_dataset(rng, 4, 3, 30, 50)
+    assert tile_rows(Y.shape[1]) < Y.shape[1]  # the solve's pass takes two tiles
     cfg = SolverConfig(max_iter=30, tol_primal=1e-300, tol_change=1e-300)
     C, report = solve_ssc(Y, cfg)
     assert report.rho_changes >= 1
@@ -389,6 +417,58 @@ def test_solve_ssc_matches_reference_loop():
     kept = C.copy()
     solve_ssc(oracles.subspace_dataset(rng, 4, 3, 30, 50), cfg)
     assert np.array_equal(C, kept)
+
+
+@pytest.mark.parametrize("rows", [1, 7, 60])
+def test_solve_ssc_result_does_not_depend_on_the_tile_size(monkeypatch, rows):
+    # 60 points: one row per tile, 7 rows (a one-row tail), and one tile;
+    # the balanced default changes rho on the way
+    Y = synth_union_of_subspaces(3, 2, 30, 20, 0.01, 3).Y
+    cfg = SolverConfig(tol_primal=1e-3, tol_change=1e-4)
+    assert tile_rows(60) >= 60  # the default takes a single tile here
+    C_ref, ref = solve_ssc(Y, cfg)
+    assert ref.converged and ref.rho_changes >= 1
+    monkeypatch.setattr(admm, "TILE_ELEMENTS", rows * 60)
+    assert tile_rows(60) == rows
+    C, report = solve_ssc(Y, cfg)
+    assert report.iterations == ref.iterations
+    assert report.rho_changes == ref.rho_changes
+    assert np.max(np.abs(C - C_ref)) <= 1e-12
+    assert np.max(np.abs(np.array(report.history) - np.array(ref.history))) <= 1e-12
+
+
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("target", ["A", "U"])
+@pytest.mark.parametrize("diagonal", [True, False])
+def test_non_finite_entries_are_caught_without_scanning_u(
+    monkeypatch, value, target, diagonal
+):
+    # one bad entry in A or U as the shrink of the middle tile (rows 3-5 of
+    # 8) reads them, at iteration 4: the tile's residuals report it, and
+    # the solve stops there
+    monkeypatch.setattr(admm, "TILE_ELEMENTS", 3 * 8)
+    state = {"calls": 0, "reports": []}
+
+    def poisoned_update_c(A, U, rho, out=None, work=None, lo=0):
+        state["calls"] += 1
+        if state["calls"] == 3 * 3 + 2:
+            column = lo + 1 if diagonal else lo + 2
+            (A if target == "A" else U)[1, column] = value
+        return update_c(A, U, rho, out=out, work=work, lo=lo)
+
+    def recorded_residual_report(*args, **kwargs):
+        report = residual_report(*args, **kwargs)
+        state["reports"].append(report)
+        return report
+
+    monkeypatch.setattr(admm, "update_c", poisoned_update_c)
+    monkeypatch.setattr(admm, "residual_report", recorded_residual_report)
+    Y = np.random.default_rng(47).normal(size=(5, 8))
+    with pytest.raises(DivergenceError) as err:
+        solve_ssc(Y, SolverConfig(mu=5.0, rho=5.0))
+    assert "iteration 4" in str(err.value)
+    r_split, r_change = state["reports"][3 * 3 + 1][:2]
+    assert not (np.isfinite(r_split) and np.isfinite(r_change))
 
 
 def test_default_solve_stops_near_the_optimum():
@@ -448,6 +528,6 @@ def test_augmented_lagrangian_decreases_along_a_update():
     mu, rho = 2.0, 2.0
     cache = FactorizationCache(Y, mu, rho)
     before = oracles.augmented_lagrangian(Y, A, C, delta, Delta, mu, rho)
-    A_next = update_a(C, Delta / rho, delta / rho, cache)
+    A_next = _a_update(C, Delta / rho, delta / rho, cache)
     after = oracles.augmented_lagrangian(Y, A_next, C, delta, Delta, mu, rho)
     assert after <= before + 1e-12

@@ -95,6 +95,20 @@ def test_load_config_file_errors(tmp_path):
     assert "Traceback" not in proc.stderr
 
 
+def test_config_file_nul_byte_exits_config(tmp_path):
+    # os.path and open refuse a NUL in a path; the reader refuses it first
+    cfg = tmp_path / "run.cfg"
+    cfg.write_bytes(b"out_labels=a\0b\n")
+    proc = run_python(
+        "-m", "ssclust", "--synth", "3,2,50,8,0.0,7", "--config", "run.cfg",
+        "--max-iter", "5", cwd=tmp_path,
+    )
+    assert proc.returncode == EXIT_CONFIG
+    assert proc.stderr.startswith("ssclust: config: ")
+    assert "Traceback" not in proc.stderr
+    assert list(tmp_path.iterdir()) == [cfg]
+
+
 def test_config_file_bad_value_exits_config(tmp_path):
     cfg = tmp_path / "run.cfg"
     for bad in ("max_iter=soon", "normalize=yes"):
@@ -615,6 +629,7 @@ OUTPUTS = (("w", "w.pgm"), ("c", "c.pgm"), ("conv", "conv.csv"), ("meta", "run.t
 CONFIG_LINES = (
     "normalize=true", "k=2", "tol_change=1e-3", "# comment", "",
     "normalize=yes", "colour=red", "no equals sign", "mu=\xe9", "rho=nan",
+    "out_labels=a\0b",
 )
 
 
