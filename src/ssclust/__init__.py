@@ -10,7 +10,6 @@ from .admm import (
     solve_ssc,
 )
 from .data import (
-    Frame,
     SyntheticDataset,
     export_convergence,
     export_heatmap,

@@ -98,18 +98,6 @@ def check_data_matrix(Y):
     return Y
 
 
-def soft_threshold(values, level, out=None, work=None):
-    """Shrink toward zero: max(|v| - level, 0) * sgn(v), elementwise.
-
-    Computed as v - clip(v, -level, level), which differs only in the sign
-    of exact zeros; the clipped part goes to `work`, the result to `out`
-    (which may be `values` itself).  A scalar input gives a numpy float64
-    scalar.
-    """
-    v = np.asarray(values, dtype=float)
-    return np.subtract(v, v.clip(-level, level, out=work), out=out)
-
-
 @dataclass
 class SolverConfig:
     """Parameters of the self-expressive solve.
@@ -289,13 +277,14 @@ def update_c(A, U, rho, out=None, work=None, lo=0):
     """Soft-threshold J = A + U at level 1/rho and zero the diagonal.
 
     A and U may hold rows lo, lo + 1, ... of N x N matrices; the diagonal
-    is then the block's entries (i, lo + i).  The shrink is taken as
-    J - clip(J, -1/rho, 1/rho).  The clipped part goes to `work`, with
-    J_ii itself on the diagonal, so the result J - work has an exactly zero
-    diagonal, and work = U + A - C is the next scaled multiplier U; the
-    solve passes U itself as `work`.  A non-finite J_ii gives a NaN C_ii.
-    The result is written to `out`; `out` and `work` are distinct from each
-    other and from A, and `out` from U.
+    is then the block's entries (i, lo + i).  The shrink,
+    max(|J| - 1/rho, 0) sgn(J), is taken as J - clip(J, -1/rho, 1/rho),
+    which differs only in the sign of exact zeros.  The clipped part goes
+    to `work`, with J_ii itself on the diagonal, so the result J - work has
+    an exactly zero diagonal, and work = U + A - C is the next scaled
+    multiplier U; the solve passes U itself as `work`.  A non-finite J_ii
+    gives a NaN C_ii.  The result is written to `out`; `out` and `work` are
+    distinct from each other and from A, and `out` from U.
     """
     J = np.add(A, U, out=out)
     work = J.clip(-1.0 / rho, 1.0 / rho, out=work)

@@ -1,12 +1,14 @@
 """Data ingestion, synthetic datasets, and file exports.
 
 Frames are grayscale PGM images (P2 ascii or P5 binary, maxval 1..65535,
-two-byte big-endian P5 samples above 255); each frame becomes one column
-of the data matrix.  Whitespace is space, TAB, CR and LF, and '#' starts a
-comment that runs to the end of the line, in the header and in a P2 body.
-A P2 body holds exactly width*height decimal values; a P5 payload follows
-one whitespace byte after maxval.  A malformed frame raises FormatError
-naming the file, the field and the byte offset where reading stopped.
+two-byte big-endian P5 samples above 255).  `load_frames` reads each one
+as a row-major pixel vector, and `frames_to_matrix` stacks the vectors as
+the columns of the data matrix.  Whitespace is space, TAB, CR and LF,
+and '#' starts a comment that runs to the end of the line, in the header
+and in a P2 body.  A P2 body holds exactly width*height decimal values; a
+P5 payload follows one whitespace byte after maxval.  A malformed frame
+raises FormatError naming the file, the field and the byte offset where
+reading stopped.
 Synthetic datasets sample a union of random low-dimensional subspaces
 with ground-truth labels.  Heatmaps are written as P5 PGM magnitude maps,
 labels and convergence histories as CSV.
@@ -32,21 +34,12 @@ _COMMENT = re.compile(rb"#[^\r\n]*")
 
 
 @dataclass
-class Frame:
-    path: str
-    width: int
-    height: int
-    pixels: np.ndarray  # row-major, scaled to [0, 1]
-
-
-@dataclass
 class SyntheticDataset:
     """Union-of-subspaces sample with ground truth."""
 
     Y: np.ndarray
     labels: np.ndarray
     bases: list
-    noise_sigma: float
 
 
 def load_frame(path):
@@ -106,7 +99,7 @@ def load_frame(path):
 
 
 def load_frames(paths):
-    """Load a list of PGM paths into Frames of the first frame's dimensions.
+    """Load PGM files of one size; returns one row-major pixel vector each.
 
     Each frame's size is compared with the first frame's as soon as it is
     read; a mismatch raises InputError naming those two files.
@@ -115,22 +108,23 @@ def load_frames(paths):
         raise InputError("no frame files given")
     frames = []
     for p in paths:
-        frame = Frame(str(p), *load_frame(p))
-        first = frames[0] if frames else frame
-        if (frame.width, frame.height) != (first.width, first.height):
+        width, height, pixels = load_frame(p)
+        if not frames:
+            first, first_width, first_height = p, width, height
+        elif (width, height) != (first_width, first_height):
             raise InputError(
-                f"frames differ in dimensions: {first.path} ({first.width}x"
-                f"{first.height}), {frame.path} ({frame.width}x{frame.height})"
+                f"frames differ in dimensions: {first} ({first_width}x"
+                f"{first_height}), {p} ({width}x{height})"
             )
-        frames.append(frame)
+        frames.append(pixels)
     return frames
 
 
 def frames_to_matrix(frames):
-    """Stack frames as the columns of the data matrix."""
+    """Stack pixel vectors as the columns of the data matrix."""
     if not frames:
         raise InputError("empty frame set")
-    return np.column_stack([f.pixels for f in frames])
+    return np.column_stack(frames)
 
 
 def normalize_columns(Y):
@@ -201,8 +195,7 @@ def synth_union_of_subspaces(K, d, D, n_per, noise_sigma=0.0, seed=0):
             noise /= np.linalg.norm(noise, axis=0)
             block += noise_sigma * noise
     return SyntheticDataset(
-        Y=normalize_columns(Y), labels=np.repeat(np.arange(K), n_per),
-        bases=bases, noise_sigma=noise_sigma,
+        Y=normalize_columns(Y), labels=np.repeat(np.arange(K), n_per), bases=bases
     )
 
 

@@ -20,12 +20,11 @@ LLOYD_MAX_ITER = 300
 
 @dataclass
 class SpectralResult:
-    """Spectrum, estimated cluster count, labels, and the embedding used."""
+    """Spectrum, estimated cluster count, and labels."""
 
     eigenvalues: np.ndarray
     estimated_k: int
     labels: np.ndarray
-    embedding: np.ndarray
 
 
 def build_affinity(C):
@@ -39,16 +38,19 @@ def build_affinity(C):
         raise InputError(f"coefficient matrix must be square, got {C.shape}")
     if np.abs(np.diag(C)).max(initial=0.0) != 0.0:
         raise InputError("coefficient matrix must have zero diagonal")
-    peaks = np.abs(C).max(axis=0)
-    scaled = np.abs(C) / np.where(peaks > 0, peaks, 1.0)
+    scaled = np.abs(C)
+    peaks = scaled.max(axis=0)
+    scaled /= np.where(peaks > 0, peaks, 1.0)
     return scaled + scaled.T
 
 
 def normalized_laplacian(W):
-    """Symmetric normalized Laplacian I - D^{-1/2} W D^{-1/2}.
+    """Symmetric normalized Laplacian I - D^{-1/2} W D^{-1/2} of symmetric W.
 
     Degree-zero vertices get an all-zero row and column (diagonal
     included), so each isolated vertex contributes one zero eigenvalue.
+    Entry (i, j) is (-s_i s_j) W_ij with s = D^{-1/2}, so an exactly
+    symmetric W gives an exactly symmetric L.
     """
     W = np.asarray(W, dtype=float)
     if W.ndim != 2 or W.shape[0] != W.shape[1]:
@@ -57,9 +59,10 @@ def normalized_laplacian(W):
         raise InputError("affinity has negative entries")
     deg = W.sum(axis=1)
     inv_sqrt = np.where(deg > 0, 1.0 / np.sqrt(np.where(deg > 0, deg, 1.0)), 0.0)
-    L = -inv_sqrt[:, None] * W * inv_sqrt[None, :]
+    L = np.outer(-inv_sqrt, inv_sqrt)
+    L *= W
     np.fill_diagonal(L, np.where(deg > 0, 1.0, 0.0))
-    return (L + L.T) / 2.0
+    return L
 
 
 def symmetric_eigendecomposition(S):
@@ -102,8 +105,12 @@ def kmeans(points, k, seed=0, restarts=10):
     greedily with probability proportional to squared distance from the
     chosen ones, and runs Lloyd until the assignment reaches a fixpoint
     (at most 300 iterations).  The run with the lowest within-cluster
-    sum of squares wins; empty clusters are reseated at the point
-    farthest from its center, so every returned cluster is nonempty.
+    sum of squares wins.  An empty cluster's center is reseated at the
+    point farthest from its own center, and the points are assigned
+    again.  That fills the cluster unless the points have fewer than k
+    distinct rows: then a reseated center can coincide with another, ties
+    go to the lower cluster index, and clusters can stay empty (six equal
+    points and k = 3 give six labels 0).
     """
     points = np.asarray(points, dtype=float)
     if points.ndim != 2:
@@ -188,8 +195,7 @@ def cluster(W, k_override=None, seed=0, k_max=None, restarts=10):
     Returns
     -------
     SpectralResult with the ascending Laplacian spectrum, the cluster
-    count actually used, one label per point, and the N x k eigenvector
-    embedding.
+    count actually used, and one label per point.
     """
     W = np.asarray(W, dtype=float)
     n = W.shape[0]
@@ -205,12 +211,7 @@ def cluster(W, k_override=None, seed=0, k_max=None, restarts=10):
     rows = np.linalg.norm(embedding, axis=1)
     normalized = embedding / np.where(rows > 0, rows, 1.0)[:, None]
     labels = kmeans(normalized, k, seed=seed, restarts=restarts)
-    return SpectralResult(
-        eigenvalues=eigenvalues,
-        estimated_k=k,
-        labels=labels,
-        embedding=embedding,
-    )
+    return SpectralResult(eigenvalues=eigenvalues, estimated_k=k, labels=labels)
 
 
 def compare_partitions(labels_a, labels_b):

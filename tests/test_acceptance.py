@@ -24,8 +24,8 @@ from ssclust import (
 from ssclust.admm import (
     FactorizationCache,
     objective_value,
-    soft_threshold,
     update_a,
+    update_c,
 )
 from ssclust.cli import main
 from ssclust.data import export_heatmap
@@ -233,13 +233,15 @@ def test_invariant_suite(tmp_path):
     ok = True
     notes = []
 
-    # soft threshold: shrink toward zero by exactly level, never past it
+    # soft threshold: the C-update shrinks the off-diagonal entries toward
+    # zero by exactly its level 1/rho, never past it
+    off = ~np.eye(6, dtype=bool)
     for _ in range(20):
         M = rng.standard_normal((6, 6)) * rng.uniform(0.1, 5.0)
-        level = float(rng.uniform(0.01, 2.0))
-        out = soft_threshold(M, level)
-        want = np.sign(M) * np.maximum(np.abs(M) - level, 0.0)
-        ok &= bool(np.array_equal(out, want))
+        rho = 1.0 / float(rng.uniform(0.01, 2.0))
+        out = update_c(M, np.zeros((6, 6)), rho)
+        want = np.sign(M) * np.maximum(np.abs(M) - 1.0 / rho, 0.0)
+        ok &= bool(np.array_equal(out[off], want[off]))
     notes.append("soft-threshold")
 
     # diagonal purity: every solve returns an exactly zero diagonal

@@ -21,44 +21,11 @@ from ssclust.admm import (
     FactorizationCache,
     check_data_matrix,
     residual_report,
-    soft_threshold,
     tile_rows,
     update_a,
     update_c,
     update_multipliers,
 )
-
-
-def test_soft_threshold_scalar_examples():
-    assert soft_threshold(1.2, 0.5) == pytest.approx(0.7)
-    assert isinstance(soft_threshold(1.2, 0.5), np.float64)
-    assert soft_threshold(-0.3, 0.5) == 0.0
-    # s = 0 is the identity on any finite value
-    for v in (-4.0, -0.1, 0.0, 2.5, 1e9):
-        assert soft_threshold(v, 0.0) == v
-
-
-def test_soft_threshold_matches_scalar_oracle():
-    rng = np.random.default_rng(11)
-    for _ in range(20):
-        M = rng.normal(size=(rng.integers(1, 6), rng.integers(1, 6))) * 3
-        s = float(rng.uniform(0, 2))
-        expected = oracles.scalar_soft_threshold(M, s)
-        assert np.allclose(soft_threshold(M, s), expected, atol=0)
-
-
-def test_soft_threshold_properties():
-    rng = np.random.default_rng(12)
-    for _ in range(50):
-        v = float(rng.normal() * 4)
-        s = float(rng.uniform(0, 3))
-        out = soft_threshold(v, s)
-        assert abs(out) <= abs(v)
-        if abs(v) <= s:
-            assert out == 0.0
-        else:
-            assert out != 0.0
-            assert np.sign(out) == np.sign(v)
 
 
 def test_check_data_matrix_rejects_bad_input():
@@ -236,6 +203,57 @@ def test_update_c_matches_scalar_oracle():
     np.fill_diagonal(expected, 0.0)
     assert np.allclose(C, expected, atol=0)
     assert np.max(np.abs(np.diag(C))) == 0.0
+
+
+# The shrink max(|v| - 1/rho, 0) sgn(v) is update_c's off-diagonal action;
+# these three tests check it as 2 x 2 cases and row blocks with U = 0 or
+# random U.
+
+
+def test_soft_threshold_scalar_examples():
+    # level 0.5: 1.2 shrinks to 0.7, -0.3 to zero
+    C = update_c(np.array([[9.0, 1.2], [-0.3, 9.0]]), np.zeros((2, 2)), rho=2.0)
+    assert C.dtype == np.float64
+    assert C[0, 1] == pytest.approx(0.7)
+    assert C[1, 0] == 0.0
+
+    # level 0 (rho = inf) is the identity on any finite off-diagonal value
+    for v in (-4.0, -0.1, 0.0, 2.5, 1e9):
+        C = update_c(np.array([[1.0, v], [-v, 1.0]]), np.zeros((2, 2)), rho=np.inf)
+        assert np.array_equal(C, [[0.0, v], [-v, 0.0]])
+
+
+def test_soft_threshold_matches_scalar_oracle():
+    # blocks of rows of random shape (h <= n), at random offsets and levels
+    rng = np.random.default_rng(11)
+    for _ in range(20):
+        h, n = sorted(rng.integers(1, 6, size=2))
+        lo = int(rng.integers(0, n - h + 1))
+        A = rng.normal(size=(h, n)) * 3
+        U = rng.normal(size=(h, n))
+        rho = 1.0 / float(rng.uniform(0, 2))
+        expected = oracles.scalar_soft_threshold(A + U, 1.0 / rho)
+        expected[np.arange(h), lo + np.arange(h)] = 0.0
+        C = update_c(A, U, rho, lo=lo)
+        assert np.allclose(C, expected, atol=0)
+        assert np.all(C[np.arange(h), lo + np.arange(h)] == 0.0)
+
+
+def test_soft_threshold_properties():
+    # shrinks toward zero and never past it; zero exactly when |v| <= level
+    rng = np.random.default_rng(12)
+    for _ in range(50):
+        v = float(rng.normal() * 4)
+        rho = 1.0 / float(rng.uniform(0, 3))
+        level = 1.0 / rho
+        A = np.array([[0.0, v], [0.0, 0.0]])
+        out = update_c(A, np.zeros((2, 2)), rho=rho)[0, 1]
+        assert abs(out) <= abs(v)
+        if abs(v) <= level:
+            assert out == 0.0
+        else:
+            assert out != 0.0
+            assert np.sign(out) == np.sign(v)
 
 
 def test_update_multipliers_examples():

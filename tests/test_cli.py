@@ -2,9 +2,12 @@
 artifact cleanup, determinism, metadata reproduction, a run with scipy
 blocked, and the demo and bench-trace scripts run as child processes."""
 
+import ast
+import glob
 import importlib.util
 import json
 import os
+import re
 import string
 import contextlib
 import io
@@ -798,6 +801,36 @@ def test_trace_child_records_every_wrapped_span(tmp_path):
         assert proc.returncode == 0, proc.stderr
         seen |= {span[0] for span in json.loads(spans.read_text())["spans"]}
     assert {name for name, _, _ in trace_child.WRAPPED} <= seen
+
+
+def test_every_public_name_has_a_reader_outside_tests():
+    # a public module-level def or class of the package must be named in some
+    # program file under src/, demos/ or bench/ other than its own definition
+    # line; the re-exports in __init__.py do not count
+    init = os.path.join(REPO, "src", "ssclust", "__init__.py")
+    lines = {}
+    for top in ("src", "demos", "bench"):
+        for path in glob.glob(os.path.join(REPO, top, "**", "*.py"), recursive=True):
+            if path != init:
+                with open(path, encoding="utf-8") as fh:
+                    lines[path] = fh.read().splitlines()
+    unread = []
+    for path in sorted(glob.glob(os.path.join(REPO, "src", "ssclust", "*.py"))):
+        if path == init:
+            continue
+        for node in ast.parse("\n".join(lines[path])).body:
+            if not isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                continue
+            if node.name.startswith("_"):
+                continue
+            word = re.compile(rf"\b{node.name}\b")
+            if not any(
+                word.search(line) and (other, number) != (path, node.lineno)
+                for other, text in lines.items()
+                for number, line in enumerate(text, start=1)
+            ):
+                unread.append(f"{os.path.basename(path)}:{node.name}")
+    assert unread == []
 
 
 @pytest.mark.parametrize(

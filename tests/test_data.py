@@ -11,7 +11,6 @@ from hypothesis import strategies as st
 
 import oracles
 from ssclust import (
-    Frame,
     FormatError,
     InputError,
     export_convergence,
@@ -211,12 +210,10 @@ def test_load_frames_dimension_mismatch(tmp_path):
 def test_frames_to_matrix_full_resolution_shape():
     # 24 frames of 144x144 pixels stack into a 20736x24 matrix
     rng = np.random.default_rng(0)
-    frames = [
-        Frame(f"f{i}", 144, 144, rng.uniform(size=144 * 144)) for i in range(24)
-    ]
+    frames = [rng.uniform(size=144 * 144) for _ in range(24)]
     Y = frames_to_matrix(frames)
     assert Y.shape == (20736, 24)
-    assert np.array_equal(Y[:, 3], frames[3].pixels)
+    assert np.array_equal(Y[:, 3], frames[3])
 
 
 def test_frames_to_matrix_from_files(tmp_path):
@@ -231,10 +228,7 @@ def test_frames_to_matrix_from_files(tmp_path):
 
 def test_frames_to_matrix_zero_column_normalize():
     # stacked frames, normalized as the command line does; a zero frame passes
-    frames = [
-        Frame("z", 2, 1, np.zeros(2)),
-        Frame("u", 2, 1, np.array([3.0, 4.0])),
-    ]
+    frames = [np.zeros(2), np.array([3.0, 4.0])]
     Y = normalize_columns(frames_to_matrix(frames))
     assert np.array_equal(Y[:, 0], [0.0, 0.0])
     assert np.linalg.norm(Y[:, 1]) == pytest.approx(1.0)
