@@ -260,6 +260,7 @@ def _write_metadata(path, effective, report, result):
         f"# rho_final={float(report.rho)!r}",
         f"# rho_changes={report.rho_changes}",
         f"# estimated_k={result.estimated_k}",
+        f"# components={result.components}",
     ]
     # argparse fills the namespace in flag declaration order
     for key, value in effective.items():

@@ -5,6 +5,19 @@ W = |C~| + |C~|^T (columns of C scaled to unit max magnitude first), the
 symmetric normalized Laplacian of W is eigendecomposed, the cluster count
 is chosen at the largest gap between consecutive ascending eigenvalues,
 and the points are clustered by k-means on the row-normalized embedding.
+
+The Laplacian is eigendecomposed one connected component of W at a time.
+This is exact: L has no entry between two components, so after a
+permutation it is block diagonal, and its spectrum is the union of the
+blocks' spectra, with each block's eigenvectors extended by zeros
+(von Luxburg 2007, "A tutorial on spectral clustering", Prop. 4).  A
+subspace-preserving C gives one component per subspace, so the work falls
+from one N x N eigh to one per subspace; a connected graph is the case of
+one block.  Each component contributes one zero eigenvalue, so a k below
+the component count cannot follow the spectrum: the embedding then takes
+the null vectors of the blocks whose rounded zero eigenvalues sort first,
+where one dense eigh took whatever rotation of the null space LAPACK
+returned.  Either choice is arbitrary.
 """
 
 from dataclasses import dataclass
@@ -25,6 +38,7 @@ class SpectralResult:
     eigenvalues: np.ndarray
     estimated_k: int
     labels: np.ndarray
+    components: int  # connected components of the affinity graph
 
 
 def build_affinity(C):
@@ -55,6 +69,8 @@ def normalized_laplacian(W):
     W = np.asarray(W, dtype=float)
     if W.ndim != 2 or W.shape[0] != W.shape[1]:
         raise InputError(f"affinity must be square, got {W.shape}")
+    if not np.isfinite(W).all():
+        raise InputError("affinity has non-finite entries")
     if W.min(initial=0.0) < 0:
         raise InputError("affinity has negative entries")
     deg = W.sum(axis=1)
@@ -122,6 +138,8 @@ def kmeans(points, k, seed=0, restarts=10):
         raise InputError(f"seed must be nonnegative, got {seed}")
     if restarts < 1:
         raise InputError(f"restarts must be >= 1, got {restarts}")
+    if not np.isfinite(points).all():
+        raise InputError("points have non-finite entries")
 
     best_labels = None
     best_cost = np.inf
@@ -176,8 +194,46 @@ def _sq_distances(points, centers):
     return np.sum(diff * diff, axis=2)
 
 
+def _connected_components(W):
+    """Vertex indices of each connected component of W's nonzero pattern.
+
+    Breadth-first search over the boolean adjacency W != 0, one frontier
+    of vertices at a time.  Edges are followed along rows and columns, so
+    every nonzero of an asymmetric W also falls inside one component.  The
+    components come in the order of their smallest vertex, each ascending.
+    """
+    adjacency = W != 0
+    unseen = np.ones(adjacency.shape[0], dtype=bool)
+    components = []
+    for start in range(unseen.size):
+        if unseen[start]:
+            unseen[start] = False
+            reached = frontier = np.array([start])
+            while frontier.size:
+                touched = adjacency[frontier].any(axis=0)
+                touched |= adjacency[:, frontier].any(axis=1)
+                frontier = np.flatnonzero(touched & unseen)
+                unseen[frontier] = False
+                reached = np.concatenate([reached, frontier])
+            components.append(np.sort(reached))
+    return components
+
+
 def cluster(W, k_override=None, seed=0, k_max=None, restarts=10):
     """Full spectral pipeline: Laplacian, eigengap, embedding, k-means.
+
+    L is built once and eigendecomposed one connected component of W's
+    nonzero pattern at a time; a connected W passes L itself, uncopied.
+    The split is exact, because L has no entry between components: each
+    block's eigenpairs are eigenpairs of L once the eigenvectors are
+    extended by zeros.  The blocks' eigenvalues are stable-sorted into the
+    ascending spectrum, and the embedding takes the eigenvectors of the
+    k smallest, zero outside their blocks.  When k is below the number of
+    components, more eigenvectors than k belong to the zero eigenvalue:
+    the embedding takes those of the blocks whose rounded zero eigenvalues
+    sort first (exact ties in component order), and the points of the
+    other components sit at the origin.  A dense eigh returned instead
+    some rotation of the null space, chosen by LAPACK.
 
     Parameters
     ----------
@@ -195,23 +251,42 @@ def cluster(W, k_override=None, seed=0, k_max=None, restarts=10):
     Returns
     -------
     SpectralResult with the ascending Laplacian spectrum, the cluster
-    count actually used, and one label per point.
+    count actually used, one label per point, and the number of connected
+    components of W.
     """
     W = np.asarray(W, dtype=float)
     n = W.shape[0]
     L = normalized_laplacian(W)
-    eigenvalues, eigenvectors = symmetric_eigendecomposition(L)
-    if k_override is not None:  # kmeans checks 1 <= k <= n
+    components = _connected_components(W)  # after L has refused a non-finite W
+    spectra = [
+        symmetric_eigendecomposition(L if len(components) == 1 else L[np.ix_(c, c)])
+        for c in components
+    ]
+    del L  # k-means runs without the N x N Laplacian
+    eigenvalues = np.concatenate([values for values, _ in spectra])
+    order = np.argsort(eigenvalues, kind="stable")
+    eigenvalues = eigenvalues[order]
+    if k_override is not None:
         k = int(k_override)
     else:
         if k_max is None:
             k_max = default_k_max(n)
         k = estimate_num_clusters(eigenvalues, k_max)
-    embedding = eigenvectors[:, :k]
+    if not 1 <= k <= n:
+        raise InputError(f"need 1 <= k <= {n}, got k={k}")
+    chosen = order[:k]  # positions in the concatenated block spectra
+    embedding = np.zeros((n, k))
+    start = 0
+    for members, (_, vectors) in zip(components, spectra):
+        cols = np.flatnonzero((chosen >= start) & (chosen < start + members.size))
+        embedding[np.ix_(members, cols)] = vectors[:, chosen[cols] - start]
+        start += members.size
     rows = np.linalg.norm(embedding, axis=1)
     normalized = embedding / np.where(rows > 0, rows, 1.0)[:, None]
     labels = kmeans(normalized, k, seed=seed, restarts=restarts)
-    return SpectralResult(eigenvalues=eigenvalues, estimated_k=k, labels=labels)
+    return SpectralResult(
+        eigenvalues=eigenvalues, estimated_k=k, labels=labels, components=len(components)
+    )
 
 
 def compare_partitions(labels_a, labels_b):

@@ -372,7 +372,9 @@ def test_k_override_flag(tmp_path):
     )
     assert code == EXIT_OK
     assert len(set(read_labels(labels_path))) == 2
-    assert "k=2\n" in meta_path.read_text()
+    # the record gives the affinity's component count beside the k used
+    record = meta_path.read_text().splitlines()
+    assert "k=2" in record and "# components=3" in record
 
 
 REPO = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))

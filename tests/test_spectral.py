@@ -1,6 +1,9 @@
 """Spectral pipeline tests: affinity construction, Laplacian, eigengap
 model selection, k-means, and the end-to-end cluster() contract."""
 
+import tracemalloc
+import warnings
+
 import numpy as np
 import pytest
 
@@ -14,6 +17,7 @@ from ssclust import (
     normalized_laplacian,
     symmetric_eigendecomposition,
 )
+from ssclust.spectral import default_k_max
 
 
 def ideal_block_affinity(sizes):
@@ -106,6 +110,20 @@ def test_normalized_laplacian_isolated_vertex_convention():
     assert np.sum(ev < 1e-8) == 2  # isolated vertex plus the edge component
 
 
+def test_normalized_laplacian_rejects_non_finite():
+    # unchecked, a NaN or inf pair gives NaN eigenvalues and no labels, and
+    # inf raises a RuntimeWarning in the product with W
+    for bad in (np.nan, np.inf):
+        W = ideal_block_affinity([3, 3])
+        W[0, 1] = W[1, 0] = bad
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(InputError, match="non-finite"):
+                normalized_laplacian(W)
+            with pytest.raises(InputError, match="non-finite"):
+                cluster(W)
+
+
 def test_normalized_laplacian_rejects_negative():
     W = np.zeros((2, 2))
     W[0, 1] = W[1, 0] = -0.5
@@ -141,6 +159,12 @@ def test_eigendecomposition_rejects_nonsymmetric():
     S = np.array([[1.0, 2.0], [0.0, 1.0]])
     with pytest.raises(InputError):
         symmetric_eigendecomposition(S)
+    # one-way entry 3 -> 0 between the pairs {0, 1} and {2, 3}: the
+    # components follow it, so it lands inside a block and is refused there
+    W = ideal_block_affinity([2, 2])
+    W[3, 0] = 1.0
+    with pytest.raises(InputError, match="not symmetric"):
+        cluster(W)
 
 
 def test_estimate_num_clusters_examples():
@@ -227,6 +251,10 @@ def test_kmeans_deterministic_and_bounds():
     for seed, restarts in ((-1, 10), (0, 0), (0, -3)):
         with pytest.raises(InputError):
             kmeans(pts, 3, seed=seed, restarts=restarts)
+    # no restart has a finite cost on such points, so none would be kept
+    for bad in (np.nan, np.inf):
+        with pytest.raises(InputError, match="non-finite"):
+            kmeans(np.where(np.arange(12)[:, None] == 5, bad, pts), 3)
     # fewer distinct points than k: the reseated centers coincide, ties go
     # to the lower index, and clusters stay empty
     assert np.array_equal(kmeans(np.ones((6, 2)), 3), np.zeros(6))
@@ -261,21 +289,54 @@ def test_cluster_k_override():
     result = cluster(W, k_override=4)
     assert result.estimated_k == 4
     assert len(set(result.labels)) == 4
-    with pytest.raises(InputError):
-        cluster(W, k_override=0)
-    with pytest.raises(InputError):
-        cluster(W, k_override=13)
+    # checked before the N x k embedding is built: -1 would reach numpy's
+    # ValueError, and a huge k a MemoryError
+    for k in (0, -1, 13, 10**15):
+        with pytest.raises(InputError, match="need 1 <= k <= 12"):
+            cluster(W, k_override=k)
+
+
+def dense_cluster(W):
+    """The pipeline with one eigh of the whole Laplacian, as a reference."""
+    ev, V = np.linalg.eigh(normalized_laplacian(W))
+    k = estimate_num_clusters(ev, default_k_max(W.shape[0]))
+    rows = np.linalg.norm(V[:, :k], axis=1)
+    return ev, k, kmeans(V[:, :k] / np.where(rows > 0, rows, 1.0)[:, None], k)
 
 
 def test_cluster_permutation_equivariant():
+    # three weighted blocks and an isolated vertex, shuffled: the spectrum
+    # taken block by block equals the dense one, and so do k and the partition
     rng = np.random.default_rng(17)
-    W = ideal_block_affinity([4, 5, 6])
+    W = ideal_block_affinity([4, 5, 6, 1]) * rng.uniform(0.5, 1.5, size=(16, 16))
+    W = np.triu(W) + np.triu(W).T
     base = cluster(W)
+    assert base.components == 4 and base.estimated_k == 4
     for _ in range(5):
         perm = rng.permutation(W.shape[0])
         Wp = W[np.ix_(perm, perm)]
         permuted = cluster(Wp)
+        ev, k, labels = dense_cluster(Wp)
+        assert np.max(np.abs(permuted.eigenvalues - ev)) <= 1e-12
+        assert permuted.estimated_k == k == 4
+        assert permuted.components == 4
+        assert oracles.pair_counting_agreement(permuted.labels, labels) == 1.0
         assert oracles.pair_counting_agreement(permuted.labels, base.labels[perm]) == 1.0
+
+
+def test_cluster_holds_no_dense_eigendecomposition():
+    # ten blocks of 100: L and the boolean adjacency, not an N x N eigh
+    rng = np.random.default_rng(19)
+    W = ideal_block_affinity([100] * 10) * rng.uniform(0.5, 1.5, size=(1000, 1000))
+    W = np.triu(W) + np.triu(W).T
+    tracemalloc.start()
+    try:
+        result = cluster(W)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert result.components == result.estimated_k == 10
+    assert peak <= 1.5 * W.nbytes
 
 
 def test_zero_eigenvalues_count_components_up_to_30():
