@@ -172,9 +172,10 @@ def synth_union_of_subspaces(K, d, D, n_per, noise_sigma=0.0, seed=0):
         bases = []
         while len(bases) < K:
             B, _ = np.linalg.qr(rng.standard_normal((D, d)))
-            cosines = (np.linalg.svd(A.T @ B, compute_uv=False) for A in bases)
-            if any(c.max() > SEPARATION_COSINE for c in cosines):
-                break
+            if bases:  # against every kept basis in one stacked product
+                products = np.stack(bases).swapaxes(1, 2) @ B
+                if np.linalg.svd(products, compute_uv=False).max() > SEPARATION_COSINE:
+                    break
             bases.append(B)
         else:  # no clash: all K kept
             break

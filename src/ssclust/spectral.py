@@ -86,8 +86,10 @@ def symmetric_eigendecomposition(S):
     S = np.asarray(S, dtype=float)
     if S.ndim != 2 or S.shape[0] != S.shape[1]:
         raise InputError(f"matrix must be square, got {S.shape}")
-    if np.abs(S - S.T).max(initial=0.0) > SYMMETRY_TOL:
+    asym = S - S.T
+    if np.abs(asym, out=asym).max(initial=0.0) > SYMMETRY_TOL:
         raise InputError("matrix is not symmetric")
+    del asym  # freed before eigh allocates its N x N output
     eigenvalues, eigenvectors = np.linalg.eigh(S)
     return eigenvalues, eigenvectors
 
@@ -127,6 +129,12 @@ def kmeans(points, k, seed=0, restarts=10):
     distinct rows: then a reseated center can coincide with another, ties
     go to the lower cluster index, and clusters can stay empty (six equal
     points and k = 3 give six labels 0).
+
+    Each point-center distance is computed once per position of the
+    center: seeding fills the N x k distance matrix one column per drawn
+    center, the first Lloyd step assigns from it, a reseat recomputes
+    only its own column, and the cost is read off the matrix of the last
+    assignment.
     """
     points = np.asarray(points, dtype=float)
     if points.ndim != 2:
@@ -153,17 +161,24 @@ def kmeans(points, k, seed=0, restarts=10):
 
 def _lloyd_run(points, k, rng):
     n = points.shape[0]
-    centers = points[_weighted_seeds(points, k, rng)].copy()
+    centers = np.empty((k, points.shape[1]))
+    dist2 = np.empty((n, k))  # squared distance of each point to each center
+    for c in range(k):
+        weights = dist2[:, :c].min(axis=1) if c else np.zeros(n)
+        total = weights.sum()
+        # uniform for the first center and when every point sits on a center
+        at = rng.choice(n, p=weights / total) if total > 0 else rng.integers(n)
+        centers[c] = points[at]
+        dist2[:, c] = _sq_distances(points, centers[c : c + 1])[:, 0]
     labels = np.full(n, -1)
     for _ in range(LLOYD_MAX_ITER):
-        dist2 = _sq_distances(points, centers)
         new_labels = dist2.argmin(axis=1)
         # reseat empty clusters at the worst-served point
         for c in range(k):
             if not (new_labels == c).any():
                 far = int(dist2[np.arange(n), new_labels].argmax())
                 centers[c] = points[far]
-                dist2 = _sq_distances(points, centers)
+                dist2[:, c] = _sq_distances(points, centers[c : c + 1])[:, 0]
                 new_labels = dist2.argmin(axis=1)
         if (new_labels == labels).all():
             break
@@ -172,21 +187,9 @@ def _lloyd_run(points, k, rng):
             members = points[labels == c]
             if len(members):
                 centers[c] = members.mean(axis=0)
-    cost = float(_sq_distances(points, centers)[np.arange(n), labels].sum())
+        dist2 = _sq_distances(points, centers)
+    cost = float(dist2[np.arange(n), labels].sum())
     return labels, cost
-
-
-def _weighted_seeds(points, k, rng):
-    n = points.shape[0]
-    chosen = [int(rng.integers(n))]
-    while len(chosen) < k:
-        d2 = _sq_distances(points, points[chosen]).min(axis=1)
-        total = d2.sum()
-        if total > 0:
-            chosen.append(int(rng.choice(n, p=d2 / total)))
-        else:
-            chosen.append(int(rng.integers(n)))  # all remaining points coincide
-    return chosen
 
 
 def _sq_distances(points, centers):
@@ -255,15 +258,16 @@ def cluster(W, k_override=None, seed=0, k_max=None, restarts=10):
     components of W.
     """
     W = np.asarray(W, dtype=float)
-    n = W.shape[0]
     L = normalized_laplacian(W)
+    n = L.shape[0]
     components = _connected_components(W)  # after L has refused a non-finite W
     spectra = [
         symmetric_eigendecomposition(L if len(components) == 1 else L[np.ix_(c, c)])
         for c in components
     ]
     del L  # k-means runs without the N x N Laplacian
-    eigenvalues = np.concatenate([values for values, _ in spectra])
+    # an empty W has no components, and then an empty spectrum
+    eigenvalues = np.concatenate([v for v, _ in spectra] or [np.empty(0)])
     order = np.argsort(eigenvalues, kind="stable")
     eigenvalues = eigenvalues[order]
     if k_override is not None:

@@ -210,6 +210,90 @@ def brute_force_kmeans_cost(points, k):
     return best
 
 
+def reference_kmeans(points, k, seed=0, restarts=10):
+    """Best-of-restarts k-means++ and Lloyd, every distance matrix afresh.
+
+    Seeding recomputes the distances to every chosen center at each draw,
+    every Lloyd step and every empty-cluster reseat recomputes all k
+    columns, and the cost is read off one more recomputation.  Same
+    generator calls, same broadcast distances, so the labels must match
+    the package bit for bit.
+    """
+    points = np.asarray(points, dtype=float)
+    n = points.shape[0]
+
+    def sq_distances(centers):
+        diff = points[:, None, :] - centers[None, :, :]
+        return np.sum(diff * diff, axis=2)
+
+    def weighted_seeds(rng):
+        chosen = [int(rng.integers(n))]
+        while len(chosen) < k:
+            d2 = sq_distances(points[chosen]).min(axis=1)
+            total = d2.sum()
+            if total > 0:
+                chosen.append(int(rng.choice(n, p=d2 / total)))
+            else:
+                chosen.append(int(rng.integers(n)))
+        return chosen
+
+    def lloyd_run(rng):
+        centers = points[weighted_seeds(rng)].copy()
+        labels = np.full(n, -1)
+        for _ in range(300):
+            dist2 = sq_distances(centers)
+            new_labels = dist2.argmin(axis=1)
+            for c in range(k):
+                if not (new_labels == c).any():
+                    far = int(dist2[np.arange(n), new_labels].argmax())
+                    centers[c] = points[far]
+                    dist2 = sq_distances(centers)
+                    new_labels = dist2.argmin(axis=1)
+            if (new_labels == labels).all():
+                break
+            labels = new_labels
+            for c in range(k):
+                members = points[labels == c]
+                if len(members):
+                    centers[c] = members.mean(axis=0)
+        cost = float(sq_distances(centers)[np.arange(n), labels].sum())
+        return labels, cost
+
+    best_labels = None
+    best_cost = np.inf
+    for r in range(restarts):
+        labels, cost = lloyd_run(np.random.default_rng(seed + r))
+        if cost < best_cost:
+            best_cost = cost
+            best_labels = labels
+    return best_labels
+
+
+def reference_synth_bases(K, d, D, seed):
+    """Subspace bases drawn as the synthetic sampler draws them, pair by pair.
+
+    Each new orthonormalized Gaussian basis is compared with each kept one
+    by its own SVD; the first pair with a principal cosine above 0.9
+    starts the draw of all K again.  Returns the K bases, or None after
+    100 clashing attempts.
+    """
+    rng = np.random.default_rng(seed)
+    for _ in range(100):
+        bases = []
+        clash = False
+        while len(bases) < K and not clash:
+            B, _ = np.linalg.qr(rng.standard_normal((D, d)))
+            for A in bases:
+                if np.linalg.svd(A.T @ B, compute_uv=False).max() > 0.9:
+                    clash = True
+                    break
+            else:
+                bases.append(B)
+        if not clash:
+            return bases
+    return None
+
+
 def pair_counting_agreement(a, b):
     """Fraction of point pairs on which two labelings agree, by hand."""
     n = len(a)

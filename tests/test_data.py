@@ -303,6 +303,20 @@ def test_synth_noise_and_separation():
                 assert cos.max() <= 0.9
 
 
+def test_synth_bases_match_per_pair_reference():
+    # K = 40 keeps its first attempt; (5, 3, 9) clashes 27 times before
+    # it keeps one; (10, 1, 3) clashes in all 100 attempts
+    for K, d, D, seed in ((40, 2, 30, 0), (5, 3, 9, 1), (10, 1, 3, 0)):
+        reference = oracles.reference_synth_bases(K, d, D, seed)
+        if reference is None:
+            with pytest.raises(InputError, match="could not draw"):
+                synth_union_of_subspaces(K, d, D, 1, 0.0, seed)
+            continue
+        bases = synth_union_of_subspaces(K, d, D, 1, 0.0, seed).bases
+        assert len(bases) == K
+        assert all(np.array_equal(a, b) for a, b in zip(bases, reference))
+
+
 def test_synth_parameter_validation():
     with pytest.raises(InputError):
         synth_union_of_subspaces(0, 2, 10, 4)

@@ -260,6 +260,31 @@ def test_kmeans_deterministic_and_bounds():
     assert np.array_equal(kmeans(np.ones((6, 2)), 3), np.zeros(6))
 
 
+def test_kmeans_matches_reference():
+    # integer points in 1-3 dims repeat rows and tie distances, so seeding
+    # meets zero weights and Lloyd meets ties; a third of the cases reseat
+    # an empty cluster onto a point that already has a center
+    rng = np.random.default_rng(20)
+    cases = []
+    for _ in range(600):
+        n = int(rng.integers(2, 31))
+        k = int(rng.integers(1, n + 1))
+        pts = np.rint(rng.normal(scale=2.0, size=(n, int(rng.integers(1, 4)))))
+        cases.append((pts, k, int(rng.integers(1000)), 3))
+    # a mean update empties a cluster, and its reseat takes a point over
+    for pts, k, seed in (
+        ([[0, 1], [0, 4], [4, 2], [5, 2], [1, 5], [0, 2], [0, 2]], 4, 2386),
+        ([[0, 1], [2, 4], [5, 4], [5, 5], [0, 5], [0, 4], [2, 0], [4, 5]], 4, 248),
+        ([[5, 3], [5, 5], [0, 0], [0, 2], [2, 5], [4, 3], [5, 2], [0, 1]], 3, 83),
+    ):
+        cases.append((np.array(pts, dtype=float), k, seed, 1))
+    for pts, k, seed, restarts in cases:
+        assert np.array_equal(
+            kmeans(pts, k, seed=seed, restarts=restarts),
+            oracles.reference_kmeans(pts, k, seed=seed, restarts=restarts),
+        )
+
+
 def test_cluster_three_ideal_blocks():
     W = ideal_block_affinity([8, 8, 8])
     result = cluster(W)
@@ -296,6 +321,12 @@ def test_cluster_k_override():
             cluster(W, k_override=k)
 
 
+def test_cluster_rejects_empty_affinity():
+    # no component gives no spectrum to take an eigengap from
+    with pytest.raises(InputError, match="empty spectrum"):
+        cluster(np.zeros((0, 0)))
+
+
 def dense_cluster(W):
     """The pipeline with one eigh of the whole Laplacian, as a reference."""
     ev, V = np.linalg.eigh(normalized_laplacian(W))
@@ -325,18 +356,21 @@ def test_cluster_permutation_equivariant():
 
 
 def test_cluster_holds_no_dense_eigendecomposition():
-    # ten blocks of 100: L and the boolean adjacency, not an N x N eigh
+    # ten blocks of 100: L and the boolean adjacency, not an N x N eigh;
+    # one block: L, then eigh's N x N output once the symmetry check's
+    # one temporary is gone
     rng = np.random.default_rng(19)
-    W = ideal_block_affinity([100] * 10) * rng.uniform(0.5, 1.5, size=(1000, 1000))
-    W = np.triu(W) + np.triu(W).T
-    tracemalloc.start()
-    try:
-        result = cluster(W)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert result.components == result.estimated_k == 10
-    assert peak <= 1.5 * W.nbytes
+    for sizes, bound in (([100] * 10, 1.5), ([1000], 2.2)):
+        W = ideal_block_affinity(sizes) * rng.uniform(0.5, 1.5, size=(1000, 1000))
+        W = np.triu(W) + np.triu(W).T
+        tracemalloc.start()
+        try:
+            result = cluster(W)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert result.components == result.estimated_k == len(sizes)
+        assert peak <= bound * W.nbytes
 
 
 def test_zero_eigenvalues_count_components_up_to_30():
