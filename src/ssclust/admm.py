@@ -103,9 +103,10 @@ class SolverConfig:
     """Parameters of the self-expressive solve.
 
     mu is the data-fidelity weight, rho the penalty weight of the
-    augmented terms.  Leave mu at None to pick the data-dependent default
-    mu = 800 / max_{i != j} |y_i^T y_j|.  rho starts at mu and is balanced
-    unless given (see the module docstring); a given rho stays fixed.
+    augmented terms; each must be positive and finite.  Leave mu at None
+    to pick the data-dependent default mu = 800 / max_{i != j} |y_i^T y_j|.
+    rho starts at mu and is balanced unless given (see the module
+    docstring); a given rho stays fixed.
     """
 
     mu: float | None = None
@@ -115,10 +116,10 @@ class SolverConfig:
     tol_change: float = 1e-5
 
     def __post_init__(self):
-        if self.mu is not None and not self.mu > 0:
-            raise InputError(f"mu must be positive, got {self.mu}")
-        if self.rho is not None and not self.rho > 0:
-            raise InputError(f"rho must be positive, got {self.rho}")
+        if self.mu is not None and not 0 < self.mu < math.inf:
+            raise InputError(f"mu must be positive and finite, got {self.mu}")
+        if self.rho is not None and not 0 < self.rho < math.inf:
+            raise InputError(f"rho must be positive and finite, got {self.rho}")
         if self.max_iter < 1:
             raise InputError(f"max_iter must be >= 1, got {self.max_iter}")
         if not (self.tol_primal > 0 and self.tol_change > 0):
@@ -153,8 +154,7 @@ class FactorizationCache:
     gives F = sqrt(mu) Y^T W_r.  r counts the eigenvalues above
     lam_0 max(D, N) eps, the rounding floor of the Gram matrix itself, so
     the components dropped change M by no more than forming mu Y^T Y in
-    floating point does.  `gram`, when given, is Y^T Y; it saves forming
-    it again for D >= N.  Around B = rho (I + 1 1^T), whose inverse is
+    floating point does.  Around B = rho (I + 1 1^T), whose inverse is
     (I - 1 1^T / (N + 1)) / rho, the Woodbury identity gives
 
         M^-1 = B^-1 - G K^-1 G^T,   G = B^-1 F,   K = I + F^T G,
@@ -168,7 +168,7 @@ class FactorizationCache:
     this name, as `admm.factor`.
     """
 
-    def __init__(self, Y, mu, rho, gram=None):
+    def __init__(self, Y, mu, rho):
         d, n = Y.shape
         # overflow is caught by the finiteness checks, not reported as a warning
         with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
@@ -178,10 +178,8 @@ class FactorizationCache:
                     "non-finite normal matrix at iteration 0; "
                     "mu, rho, or the data scale overflows"
                 )
-            if d >= n:  # Y^T Y = V diag(lam) V^T
-                lam, V = np.linalg.eigh(Y.T @ Y if gram is None else gram)
-            else:  # Y Y^T = W diag(lam) W^T, held in V
-                lam, V = np.linalg.eigh(Y @ Y.T)
+            # the smaller Gram: Y^T Y = V diag(lam) V^T, or Y Y^T = W diag(lam) W^T in V
+            lam, V = np.linalg.eigh(Y.T @ Y if d >= n else Y @ Y.T)
             keep = lam > lam[-1] * max(d, n) * np.finfo(float).eps
             thin = V[:, keep] * np.sqrt(lam[keep]) if d >= n else Y.T @ V[:, keep]
             F = np.sqrt(mu) * thin
@@ -237,12 +235,11 @@ class FactorizationCache:
         return E[0] - u - self._Lt_1 @ E
 
 
-def _mu_from_gram(gram):
-    """DEFAULT_MU_SCALE / max off-diagonal coherence; gram is left as given."""
-    diagonal = gram.diagonal().copy()
+def _default_mu(Y):
+    """DEFAULT_MU_SCALE / max_{i != j} |y_i^T y_j|, the default data weight."""
+    gram = Y.T @ Y
     np.fill_diagonal(gram, 0.0)
     coh = _max_abs(gram)
-    np.fill_diagonal(gram, diagonal)
     if coh <= 0.0:
         return DEFAULT_MU_SCALE  # mutually orthogonal columns; any weight works
     return float(DEFAULT_MU_SCALE / coh)
@@ -378,20 +375,11 @@ def solve_ssc(Y, cfg=None):
     # overflow here is detected by the finiteness checks and raised as
     # DivergenceError, so the numpy warnings are redundant
     with np.errstate(over="ignore", invalid="ignore"):
-        gram = Y.T @ Y if cfg.mu is None else None
-        mu = float(cfg.mu) if cfg.mu is not None else _mu_from_gram(gram)
+        mu = float(cfg.mu) if cfg.mu is not None else _default_mu(Y)
         rho = float(cfg.rho) if cfg.rho is not None else mu
-        cache = FactorizationCache(Y, mu, rho, gram=gram)
-        del gram  # N x N; the loop does not need it
-        # each tile's first row and its views, made once: every array they
-        # view, L included, is only ever written in place
-        tiles = []
-        for lo in range(0, n, rows):
-            b, h = slice(lo, lo + rows), min(rows, n - lo)
-            views = (S[b], cache.L[b], U[b], C[b], a_tile[:h], c_tile[:h], diff_tile[:h])
-            tiles.append((lo, *views))
+        cache = FactorizationCache(Y, mu, rho)
         # per tile: max |A - C|, max |C - C_prev|, and their squared norms
-        tile_residuals = np.empty((len(tiles), 4))
+        tile_residuals = np.empty((-(-n // rows), 4))
         for iteration in range(1, cfg.max_iter + 1):
             balance = (
                 cfg.rho is None
@@ -401,14 +389,15 @@ def solve_ssc(Y, cfg=None):
             width = 4 if balance else 2
             E = cache.thin_product(S, u)
             affine = cache.affine_residual(E, u)
-            for k, (lo, S_b, L_b, U_b, C_b, a_b, c_b, diff_b) in enumerate(tiles):
-                A_b = update_a(S_b, E, L_b, out=a_b)
-                C_next = update_c(A_b, U_b, rho, out=c_b, work=U_b, lo=lo)
+            for k, lo in enumerate(range(0, n, rows)):
+                b, h = slice(lo, lo + rows), min(rows, n - lo)
+                A_b = update_a(S[b], E, cache.L[b], out=a_tile[:h])
+                C_next = update_c(A_b, U[b], rho, out=c_tile[:h], work=U[b], lo=lo)
                 tile_residuals[k, :width] = residual_report(
-                    A_b, C_next, C_b, work=diff_b, norms=balance
+                    A_b, C_next, C[b], work=diff_tile[:h], norms=balance
                 )
-                C_b[...] = C_next
-                np.subtract(C_next, U_b, out=S_b)
+                C[b] = C_next
+                np.subtract(C_next, U[b], out=S[b])
             r_affine = _max_abs(affine)
             # the maximum over tiles keeps a NaN
             r_split, r_change = tile_residuals[:, :2].max(axis=0).tolist()

@@ -184,7 +184,10 @@ def _check(args):
     seen = {}  # two outputs on one file: the later move would lose the first
     for key, path in vars(args).items():
         if key.startswith("out_") and path is not None:
-            first = seen.setdefault(os.path.realpath(path), key[4:])
+            real = os.path.realpath(path)
+            if os.path.isdir(real):  # its move would fail after earlier commits
+                raise ConfigError(f"--out-{key[4:]} names a directory: {path!r}")
+            first = seen.setdefault(real, key[4:])
             if first != key[4:]:
                 raise ConfigError(f"--out-{first} and --out-{key[4:]} name one file")
     if args.out_meta is not None:  # each recorded value must replay unchanged

@@ -48,7 +48,11 @@ def test_solver_config_validation():
     with pytest.raises(InputError):
         SolverConfig(mu=-1.0)
     with pytest.raises(InputError):
+        SolverConfig(mu=np.inf)
+    with pytest.raises(InputError):
         SolverConfig(rho=0.0)
+    with pytest.raises(InputError):
+        SolverConfig(rho=np.inf)
     with pytest.raises(InputError):
         SolverConfig(max_iter=0)
     with pytest.raises(InputError):
@@ -71,6 +75,10 @@ def test_default_mu_scaling():
     assert default_mu(Y) == pytest.approx(1600.0)
     # orthogonal columns have zero coherence; the scale itself is returned
     assert default_mu(np.eye(3)) == pytest.approx(800.0)
+    # wide (D < N): the cache factors Y Y^T, and mu comes from Y^T Y alone;
+    # its off-diagonal entries are -4, 2 and 0, below the diagonal's 16
+    Y = np.array([[1.0, -4.0, 0.0], [2.0, 0.0, 1.0]])
+    assert default_mu(Y) == pytest.approx(200.0)
 
 
 def _a_update(C, U, u, cache):

@@ -518,6 +518,29 @@ def test_outputs_naming_one_file_exit_config(tmp_path, capsys, first, second):
     assert list(tmp_path.iterdir()) == [target]
 
 
+@pytest.mark.parametrize("target", ["wdir", "", "."], ids=["dir", "empty", "dot"])
+def test_output_naming_a_directory_exits_config(tmp_path, monkeypatch, capsys, target):
+    # its move would fail only after the labels before it were committed
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "l.csv").write_bytes(b"OLD\n")
+    (tmp_path / "wdir").mkdir()
+    argv = ["--synth", "3,2,50,8,0.0,7", "--out-labels", "l.csv", "--out-w", target]
+    assert main(argv) == EXIT_CONFIG
+    assert capsys.readouterr().err == (
+        f"ssclust: config: --out-w names a directory: {target!r}\n"
+    )
+    assert (tmp_path / "l.csv").read_bytes() == b"OLD\n"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["l.csv", "wdir"]
+    assert list((tmp_path / "wdir").iterdir()) == []
+
+
+@pytest.mark.parametrize("flag", ["--mu", "--rho"])
+def test_infinite_weight_exits_config(capsys, flag):
+    # refused as configuration, not reported as a divergence of the solve
+    assert main(["--synth", "3,2,50,8,0.0,7", flag, "inf"]) == EXIT_CONFIG
+    assert capsys.readouterr().err.startswith(f"ssclust: config: {flag[2:]} must be ")
+
+
 @pytest.mark.parametrize("name", ["x\ny.csv", "x\ry.csv"], ids=["LF", "CR"])
 def test_line_break_in_record_value_exits_config(tmp_path, name):
     # a recorded value is one line of the record; a line break in it would
@@ -666,8 +689,8 @@ def cli_cases(draw):
         argv.append("--normalize")
     argv.append(f"--max-iter={value('1', '5', '30', hostile=('-1', '0'))}")
     for kind, name in OUTPUTS:
-        if draw(st.booleans()):
-            argv.append(f"--out-{kind}={name}")
+        if draw(st.booleans()):  # hostile: the case's own directory
+            argv.append(f"--out-{kind}={value(name, hostile=('frames',))}")
     config = None
     if draw(st.integers(0, 3)) == 3:
         config = draw(st.lists(st.sampled_from(CONFIG_LINES), max_size=3))
@@ -687,6 +710,8 @@ def cli_cases(draw):
 )
 # more distinct subspaces than fit: refused within 100 short attempts
 @example((["--synth=1000000000000,1,2,1,0.0,0", "--max-iter=5"], None, []))
+# an output onto a directory: its move would fail after the labels' move
+@example((["--synth=3,2,20,2,0.0,7", "--max-iter=5", "--out-w=frames"], None, []))
 def test_cli_contract(case):
     # any input: a contract exit code, no exception out of main, and on
     # failure the existing labels kept and no file added

@@ -216,6 +216,11 @@ def test_frames_to_matrix_full_resolution_shape():
     assert np.array_equal(Y[:, 3], frames[3])
 
 
+def test_frames_to_matrix_rejects_empty_set():
+    with pytest.raises(InputError, match="empty frame set"):
+        frames_to_matrix([])
+
+
 def test_frames_to_matrix_from_files(tmp_path):
     a = write_p2(tmp_path / "a.pgm", "P2\n2 2\n255\n0 255 128 64\n")
     b = tmp_path / "b.pgm"
