@@ -14,26 +14,41 @@ through a thin factor of Y of numerical rank r <= min(D, N), taken from
 the eigendecomposition of the smaller of Y^T Y and Y Y^T (see
 `FactorizationCache`).  With S = C - U it reads
 
-    A = S - L E,   E = Q^T S - Q^T + v u^T,
+    A = S - L E,   E = Q^T S - Q^T + v u^T.
 
-so an iteration costs one (r + 1) x N x N product for E, the same again
-for L E, and O(N^2) elementwise work.  The affine residual A^T 1 - 1 and
-the step on u, u += A^T 1 - 1 (`update_multipliers`), need no pass over
-A: since Q's first column is 1, E's first row is S^T 1 - 1 + u, and
-A^T 1 = S^T 1 - E^T (L^T 1) (`FactorizationCache.affine_residual`).
+The program splits by column: column j of C is its own lasso (Elhamifar
+& Vidal 2013), and column j of A needs only column j of S and E.  So the
+solve keeps its iterates point-major, as C^T and U^T with one point per
+row, and takes the transposed form one tile of points b at a time:
 
-The solve holds three N x N arrays, C, U and S = C - U, and does the rest
-of an iteration's work in one pass over tiles of consecutive rows,
-max(1, TILE_ELEMENTS // N) rows each, so that every step of a tile finds
-its rows still in cache.  For the rows b of a tile:
+    E^T_b = S^T_b Q - Q_b + u_b v^T,   A^T_b = S^T_b - E^T_b L^T,
 
-    A_b = S_b - L_b E                                   (update_a)
-    J_b = A_b + U_b
-    U_b <- clip(J_b, -1/rho, 1/rho), with U_ii = J_ii
-    C+_b = J_b - U_b                                    (update_c)
+an (r + 1) x N x |b| product each, so an iteration costs two
+(r + 1) x N x N products in all and O(N^2) elementwise work.  The affine
+residual A^T 1 - 1 and the step on u, u += A^T 1 - 1
+(`update_multipliers`), need no pass over A: since Q's first column is
+1, E^T_b's first column is S^T_b 1 - 1 + u_b, and
+A^T_b 1 = S^T_b 1 - E^T_b (L^T 1) (`FactorizationCache.affine_residual`).
+
+The solve holds two N x N arrays, C^T and U^T; S^T is never stored.
+Each tile of max(1, TILE_ELEMENTS // N) consecutive rows of C^T takes
+every step while its rows are still in cache, reading its rows of C^T
+and U^T once.  For the rows b of a tile:
+
+    S^T_b = C^T_b - U^T_b
+    E^T_b and the tile's A^T_b 1 - 1          (FactorizationCache)
+    A^T_b = S^T_b - E^T_b L^T                             (update_a)
+    J_b = A^T_b + U^T_b
+    U^T_b <- clip(J_b, -1/rho, 1/rho), with U_ii = J_ii
+    C+_b = J_b - U^T_b                                    (update_c)
     max |A_b - C+_b|, max |C+_b - C_b|, and on
     balancing iterations their squared norms           (residual_report)
-    C_b <- C+_b,  S_b <- C_b - U_b
+    C^T_b <- C+_b
+
+The shrink, the residuals and the multiplier step are elementwise, so
+they read the transposed tiles as they are; a tile's diagonal entries
+are the same in either orientation.  u is stepped once every tile has
+read it.  The solve returns C as the transposed view of C^T.
 
 The multiplier step on U is taken by the shrink.  By the Moreau
 decomposition of the l1 prox (Parikh & Boyd 2014, section 2.5), the
@@ -50,7 +65,7 @@ iteration BALANCE_UNTIL, rho is multiplied by BALANCE_FACTOR when the
 primal residual norm sqrt(||A^T 1 - 1||^2 + ||A - C||_F^2) exceeds
 BALANCE_RATIO times the dual residual norm rho ||C - C_prev||_F, and
 divided by it in the opposite case.  A change of rho by t divides u and U
-by t, forms S again, and refactors only an N x r block
+by t and refactors only an r x N block
 (`FactorizationCache.set_rho`).  After the window rho stays fixed, so the
 usual fixed-rho convergence argument holds for the rest of the run.
 
@@ -58,7 +73,7 @@ The steps take and return plain arrays, and write into the `out`/`work`
 arrays they are given.  The solver is deterministic: identical inputs
 produce identical iterates.  They agree with the textbook loop (U += A - C
 and A^T 1 - 1 on whole arrays) up to rounding: U is rounded once, as
-clip(J), instead of twice, and A^T 1 is formed from E.
+clip(J), instead of twice, and A^T 1 is formed from E^T.
 """
 
 import math
@@ -83,7 +98,7 @@ TILE_ELEMENTS = 2**15
 
 def tile_rows(n):
     """Rows per tile of the elementwise pass over an N x N array."""
-    return max(1, TILE_ELEMENTS // n)
+    return max(1, TILE_ELEMENTS // max(n, 1))
 
 
 def check_data_matrix(Y):
@@ -161,11 +176,13 @@ class FactorizationCache:
 
     where the r x r matrix K is SPD with eigenvalues >= 1.  The cache holds
     this as M^-1 = (I - L Q^T) / rho with the N x (r + 1) factors
-    Q = [1, rho G], kept transposed as `Qt`, and L = [1 / (N + 1), G K^-1].
-    Applying M^-1 thus costs two thin products, O(N^2 r), and the cache
-    holds no N x N matrix.  v = (N + 1) e_0 - Q^T 1 carries the multiplier
-    u through the A-update.  `bench/trace_child.py` times this class, by
-    this name, as `admm.factor`.
+    Q = [1, rho G] and L = [1 / (N + 1), G K^-1], the latter kept
+    transposed as `Lt`, so that both are contiguous in the layouts the
+    point-major tile products S^T_b Q and E^T_b L^T read.  Applying M^-1
+    thus costs two thin products, O(N^2 r), and the cache holds no N x N
+    matrix.  v = (N + 1) e_0 - Q^T 1 carries the multiplier u through the
+    A-update.  `bench/trace_child.py` times this class, by this name, as
+    `admm.factor`.
     """
 
     def __init__(self, Y, mu, rho):
@@ -186,10 +203,12 @@ class FactorizationCache:
             rhoG = F - F.sum(axis=0) / (n + 1)
             self._Ft_rhoG = F.T @ rhoG
         r = rhoG.shape[1]
-        self.Qt = np.vstack([np.ones((1, n)), rhoG.T])
-        self.L = np.empty((n, r + 1))
-        self.L[:, 0] = 1.0 / (n + 1)
-        self.v = -self.Qt.sum(axis=1)
+        self.Q = np.empty((n, r + 1))
+        self.Q[:, 0] = 1.0
+        self.Q[:, 1:] = rhoG
+        self.Lt = np.empty((r + 1, n))
+        self.Lt[0] = 1.0 / (n + 1)
+        self.v = -self.Q.sum(axis=0)
         self.v[0] += n + 1
         self.set_rho(rho)
 
@@ -197,7 +216,7 @@ class FactorizationCache:
         """Refactor M^-1 for a new rho, in place.
 
         rho G = F - 1 1^T F / (N + 1) does not depend on rho, so Q, v and
-        F^T (rho G) are kept, and only L's last r columns, G K^-1 with
+        F^T (rho G) are kept, and only L^T's last r rows, (G K^-1)^T with
         K = I + F^T (rho G) / rho, are solved again: O(N r^2).
         """
         r = self._Ft_rhoG.shape[0]
@@ -205,34 +224,36 @@ class FactorizationCache:
             K = np.eye(r) + self._Ft_rhoG / rho
             finite = np.isfinite(1.0 / rho) and np.isfinite(K).all()
             if finite:
-                G_Kinv = np.linalg.solve(K, self.Qt[1:]).T / rho
-                finite = np.isfinite(G_Kinv).all()
+                Kinv_Gt = np.linalg.solve(K, self.Q[:, 1:].T) / rho
+                finite = np.isfinite(Kinv_Gt).all()
         if not finite:
             raise InputError(
                 "the normal matrix cannot be inverted in floating point; "
                 f"rho = {rho!r} is too small for this data scale"
             )
-        self.L[:, 1:] = G_Kinv
-        self._Lt_1 = self.L.sum(axis=0)
+        self.Lt[1:] = Kinv_Gt
+        self._Lt_1 = self.Lt.sum(axis=1)
 
-    def thin_product(self, S, u):
-        """E = Q^T S - Q^T + v u^T, the (r + 1) x N factor of the A-update.
+    def thin_product(self, St, u, lo=0):
+        """E^T = S^T Q - Q + u v^T for the rows lo, lo + 1, ... of S^T.
 
-        S is C - U for the whole N x N iterate; `update_a` reads E for
-        every block of rows.
+        St holds those rows of S^T = (C - U)^T, one point per row, and u
+        the same points' entries of the scaled multiplier; the result is
+        E's columns for those points, one per row, as `update_a` reads it.
         """
-        E = self.Qt @ S
-        E -= self.Qt
-        E += self.v[:, None] * u
-        return E
+        Et = St @ self.Q
+        Et -= self.Q[lo : lo + St.shape[0]]
+        Et += u[:, None] * self.v
+        return Et
 
-    def affine_residual(self, E, u):
-        """A^T 1 - 1 for A = S - L E, from E = thin_product(S, u) alone.
+    def affine_residual(self, Et, u):
+        """A^T 1 - 1 for A^T = S^T - E^T L^T, from E^T = thin_product(St, u).
 
-        Q's first column is 1 and v's first entry is 1, so E's first row is
-        S^T 1 - 1 + u, and A^T 1 = S^T 1 - E^T (L^T 1): no pass over A.
+        Q's first column is 1 and v's first entry is 1, so E^T's first
+        column is S^T 1 - 1 + u, and A^T 1 = S^T 1 - E^T (L^T 1): no pass
+        over A.  Et and u may hold the rows of a tile of points.
         """
-        return E[0] - u - self._Lt_1 @ E
+        return Et[:, 0] - u - Et @ self._Lt_1
 
 
 def _default_mu(Y):
@@ -250,7 +271,7 @@ def _max_abs(x):
     return float(max(x.max(), -x.min()))
 
 
-def update_a(S, E, L, out=None):
+def update_a(St, Et, Lt, out=None):
     """Minimize the augmented Lagrangian over A with C, u, U fixed.
 
     Solves M A = mu Y^T Y + rho (1 1^T + C - 1 u^T - U).  That right-hand
@@ -258,23 +279,25 @@ def update_a(S, E, L, out=None):
     with M^-1 = (I - L Q^T) / rho the identity and rho cancel, and L's first
     column, 1 / (N + 1), absorbs 1 u^T:
 
-        A = S - L E,   S = C - U,   E = Q^T S - Q^T + v u^T,
+        A = S - L E,   S = C - U,   E = Q^T S - Q^T + v u^T.
 
-    where E is `FactorizationCache.thin_product(S, u)`.  S and L may be
-    the same rows of the whole S and L, which gives those rows of A.  C
-    must have an exactly zero diagonal (every C from `update_c` has one);
-    it stands in for C - diag(C) as it is.  A is written to `out`, an
-    array distinct from S.
+    It is taken point-major, A^T = S^T - E^T L^T, where E^T is
+    `FactorizationCache.thin_product(St, u)` and Lt the cache's L^T.  St
+    and Et may hold the same rows (points) of the whole S^T and E^T,
+    which gives those rows of A^T.  C must have an exactly zero diagonal
+    (every C from `update_c` has one); it stands in for C - diag(C) as it
+    is.  A^T is written to `out`, an array distinct from St.
     """
-    A = np.matmul(L, E, out=out)
-    return np.subtract(S, A, out=A)
+    At = np.matmul(Et, Lt, out=out)
+    return np.subtract(St, At, out=At)
 
 
 def update_c(A, U, rho, out=None, work=None, lo=0):
     """Soft-threshold J = A + U at level 1/rho and zero the diagonal.
 
-    A and U may hold rows lo, lo + 1, ... of N x N matrices; the diagonal
-    is then the block's entries (i, lo + i).  The shrink,
+    A and U may hold rows lo, lo + 1, ... of N x N matrices, or of their
+    transposes as in the solve; the diagonal is then the block's entries
+    (i, lo + i).  The shrink,
     max(|J| - 1/rho, 0) sgn(J), is taken as J - clip(J, -1/rho, 1/rho),
     which differs only in the sign of exact zeros.  The clipped part goes
     to `work`, with J_ii itself on the diagonal, so the result J - work has
@@ -315,7 +338,11 @@ def _balance_factor(affine, split_sq, change_sq, rho):
 
 
 def residual_report(A, C, C_prev, work=None, norms=False):
-    """The split and change residuals of a block of rows of A, C and C_prev.
+    """The split and change residuals of a block of A, C and C_prev.
+
+    The block may be rows of A, C and C_prev or, as in the solve, rows of
+    their transposes: the maxima and squared norms of a difference do not
+    depend on its orientation.
 
     Returns the block's (||A - C||_inf, ||C - C_prev||_inf), followed,
     when `norms`, by ||A - C||_F^2 and ||C - C_prev||_F^2 for the
@@ -352,6 +379,8 @@ def solve_ssc(Y, cfg=None):
     C : array, shape (N, N)
         Coefficient matrix with exactly zero diagonal; column i is the
         sparse representation of point i in terms of the other points.
+        It is the transposed view of the solve's point-major C^T, so it
+        is Fortran-ordered.
     report : SolveReport
         Convergence flag, iteration count, final residuals, mu, the final
         rho and its number of changes, and the full residual history.
@@ -363,12 +392,12 @@ def solve_ssc(Y, cfg=None):
     n = Y.shape[1]
     rows = tile_rows(n)
 
-    # the loop's N x N arrays and tiles, written in place.  Allocated before
-    # the Gram matrix: allocated after it, the N x N arrays raised the peak
-    # RSS at N = 1000 by 2.4 MB (90.1 -> 92.5 MB).
-    C, U, S = (np.zeros((n, n)) for _ in range(3))
-    a_tile, c_tile, diff_tile = (np.empty((min(rows, n), n)) for _ in range(3))
-    u = np.zeros(n)
+    # the loop's N x N arrays C^T, U^T and its tiles, written in place.
+    # Allocated before the Gram matrix: allocated after it, the N x N
+    # arrays raised the peak RSS at N = 1000 by 2.4 MB (90.1 -> 92.5 MB).
+    Ct, Ut = np.zeros((n, n)), np.zeros((n, n))
+    s_tile, a_tile, c_tile = (np.empty((min(rows, n), n)) for _ in range(3))
+    u, affine = np.zeros(n), np.empty(n)
     history = []
     converged = False
     rho_changes = 0
@@ -387,23 +416,24 @@ def solve_ssc(Y, cfg=None):
                 and iteration <= BALANCE_UNTIL
             )
             width = 4 if balance else 2
-            E = cache.thin_product(S, u)
-            affine = cache.affine_residual(E, u)
             for k, lo in enumerate(range(0, n, rows)):
                 b, h = slice(lo, lo + rows), min(rows, n - lo)
-                A_b = update_a(S[b], E, cache.L[b], out=a_tile[:h])
-                C_next = update_c(A_b, U[b], rho, out=c_tile[:h], work=U[b], lo=lo)
+                St_b = np.subtract(Ct[b], Ut[b], out=s_tile[:h])
+                Et_b = cache.thin_product(St_b, u[b], lo)
+                affine[b] = cache.affine_residual(Et_b, u[b])
+                At_b = update_a(St_b, Et_b, cache.Lt, out=a_tile[:h])
+                C_next = update_c(At_b, Ut[b], rho, out=c_tile[:h], work=Ut[b], lo=lo)
+                # S^T_b is spent: its buffer takes the differences
                 tile_residuals[k, :width] = residual_report(
-                    A_b, C_next, C[b], work=diff_tile[:h], norms=balance
+                    At_b, C_next, Ct[b], work=s_tile[:h], norms=balance
                 )
-                C[b] = C_next
-                np.subtract(C_next, U[b], out=S[b])
+                Ct[b] = C_next
             r_affine = _max_abs(affine)
             # the maximum over tiles keeps a NaN
             r_split, r_change = tile_residuals[:, :2].max(axis=0).tolist()
             u = update_multipliers(u, affine)
             # a non-finite A, C or U makes max |A - C| or max |C - C_prev|
-            # non-finite, and a non-finite E a non-finite u
+            # non-finite, and a non-finite E^T a non-finite u
             finite = math.isfinite(r_split) and math.isfinite(r_change)
             if not (finite and np.isfinite(u).all()):
                 raise DivergenceError(f"non-finite iterate at iteration {iteration}")
@@ -418,8 +448,7 @@ def solve_ssc(Y, cfg=None):
                     cache.set_rho(rho * t)
                     rho *= t
                     u /= t
-                    U /= t
-                    np.subtract(C, U, out=S)
+                    Ut /= t
                     rho_changes += 1
 
     report = SolveReport(
@@ -433,4 +462,4 @@ def solve_ssc(Y, cfg=None):
         rho_changes=rho_changes,
         history=history,
     )
-    return C, report
+    return Ct.T, report

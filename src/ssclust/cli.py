@@ -231,15 +231,17 @@ class _PendingOutput(os.PathLike):
     """An output file written under a temporary name beside its target.
 
     `commit` moves it onto the target with `os.replace`; until then the
-    file at the target, if any, is untouched.  The object names the file
-    where it is now, before the move and after it, so a caller that keeps
-    it (`bench/trace_child.py` reads each export's size after the run)
-    still finds the file.
+    file at the target, if any, is untouched.  The target is the path's
+    `os.path.realpath`, as `_check` compares them, so an output named
+    through a symlink rewrites the file the link names and leaves the link
+    in place.  The object names the file where it is now, before the move
+    and after it, so a caller that keeps it (`bench/trace_child.py` reads
+    each export's size after the run) still finds the file.
     """
 
     def __init__(self, target, index):
-        head, tail = os.path.split(target)
-        self.target = target
+        self.target = os.path.realpath(target)
+        head, tail = os.path.split(self.target)
         self.path = os.path.join(head, f".{tail}.{os.getpid()}-{index}.tmp")
 
     def __fspath__(self):

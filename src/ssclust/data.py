@@ -19,6 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .admm import tile_rows
 from .errors import FormatError, InputError
 
 MAX_BASIS_RETRIES = 100
@@ -201,20 +202,25 @@ def synth_union_of_subspaces(K, d, D, n_per, noise_sigma=0.0, seed=0):
 
 
 def export_heatmap(M, path):
-    """Write |M| as a P5 PGM magnitude map, brightest = largest entry."""
+    """Write |M| as a P5 PGM magnitude map, brightest = largest entry.
+
+    The peak is taken first, and a NaN or infinite one refuses M before
+    the file is opened.  The pixels are then quantized and written one
+    block of `tile_rows` rows at a time, so no array of M's size is made.
+    """
     M = np.asarray(M, dtype=float)
-    if not np.isfinite(M).all():
+    peak = max(M.max(), -M.min())  # NaN when M holds a NaN
+    if not np.isfinite(peak):
         raise InputError("heatmap input contains non-finite entries")
-    mags = np.abs(M)
-    peak = mags.max()
-    if peak > 0:
-        pixels = np.rint(255.0 * mags / peak).astype(np.uint8)
-    else:
-        pixels = np.zeros_like(mags, dtype=np.uint8)
     header = f"P5\n{M.shape[1]} {M.shape[0]}\n255\n".encode("ascii")
+    rows = tile_rows(M.shape[1])
     with open(path, "wb") as fh:
         fh.write(header)
-        fh.write(pixels.tobytes())
+        for lo in range(0, M.shape[0], rows):
+            mags = np.abs(M[lo : lo + rows])
+            if peak > 0:  # else every magnitude is 0 already
+                mags = np.rint(255.0 * mags / peak)
+            fh.write(mags.astype(np.uint8).tobytes())
 
 
 def export_labels(labels, path):

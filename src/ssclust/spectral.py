@@ -24,6 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .admm import tile_rows
 from .errors import InputError
 
 AFFINITY_FORMULA = "colmax-abs-symmetrize"
@@ -45,27 +46,34 @@ def build_affinity(C):
     """Symmetric nonnegative affinity from a zero-diagonal coefficient matrix.
 
     Each column is scaled by the reciprocal of its max-abs entry (zero
-    columns pass through), then W = |C~| + |C~|^T.
+    columns pass through), then W = |C~| + |C~|^T.  The sum is taken in
+    place in |C~|, one strip of `tile_rows(N)` rows and the matching
+    columns at a time: W_ij = W_ji = |C~|_ij + |C~|_ji is the same IEEE
+    sum as |C~| + |C~|^T, so W is identical to it, and the stage holds no
+    N x N array besides C and W.  W is C-ordered whatever C's layout, so
+    its row sums, the Laplacian's degrees, round the same for a C from
+    `solve_ssc`, which is Fortran-ordered, as for a copy of it.
     """
     C = np.asarray(C, dtype=float)
     if C.ndim != 2 or C.shape[0] != C.shape[1]:
         raise InputError(f"coefficient matrix must be square, got {C.shape}")
     if np.abs(np.diag(C)).max(initial=0.0) != 0.0:
         raise InputError("coefficient matrix must have zero diagonal")
-    scaled = np.abs(C)
+    n = C.shape[0]
+    scaled = np.abs(C, out=np.empty((n, n)))
     peaks = scaled.max(axis=0)
     scaled /= np.where(peaks > 0, peaks, 1.0)
-    return scaled + scaled.T
+    rows = tile_rows(n)
+    for lo in range(0, n, rows):
+        b = slice(lo, lo + rows)
+        strip = scaled[b, lo:] + scaled[lo:, b].T
+        scaled[b, lo:] = strip
+        scaled[lo:, b] = strip.T
+    return scaled
 
 
-def normalized_laplacian(W):
-    """Symmetric normalized Laplacian I - D^{-1/2} W D^{-1/2} of symmetric W.
-
-    Degree-zero vertices get an all-zero row and column (diagonal
-    included), so each isolated vertex contributes one zero eigenvalue.
-    Entry (i, j) is (-s_i s_j) W_ij with s = D^{-1/2}, so an exactly
-    symmetric W gives an exactly symmetric L.
-    """
+def _check_affinity(W):
+    """W as a float array, refused unless square, finite and nonnegative."""
     W = np.asarray(W, dtype=float)
     if W.ndim != 2 or W.shape[0] != W.shape[1]:
         raise InputError(f"affinity must be square, got {W.shape}")
@@ -73,7 +81,26 @@ def normalized_laplacian(W):
         raise InputError("affinity has non-finite entries")
     if W.min(initial=0.0) < 0:
         raise InputError("affinity has negative entries")
-    deg = W.sum(axis=1)
+    return W
+
+
+def normalized_laplacian(W, deg=None):
+    """Symmetric normalized Laplacian I - D^{-1/2} W D^{-1/2} of symmetric W.
+
+    Degree-zero vertices get an all-zero row and column (diagonal
+    included), so each isolated vertex contributes one zero eigenvalue.
+    Entry (i, j) is (-s_i s_j) W_ij with s = D^{-1/2}, so an exactly
+    symmetric W gives an exactly symmetric L.
+
+    `deg`, when given, holds the degrees of W's vertices in a larger
+    affinity of which W is the block of whole connected components: their
+    rows there hold nothing outside W, so the degrees have the same value,
+    but summed over the full rows they round as they do for the larger
+    affinity's own Laplacian, and the result equals its block bit for bit.
+    """
+    W = _check_affinity(W)
+    if deg is None:
+        deg = W.sum(axis=1)
     inv_sqrt = np.where(deg > 0, 1.0 / np.sqrt(np.where(deg > 0, deg, 1.0)), 0.0)
     L = np.outer(-inv_sqrt, inv_sqrt)
     L *= W
@@ -225,18 +252,22 @@ def _connected_components(W):
 def cluster(W, k_override=None, seed=0, k_max=None, restarts=10):
     """Full spectral pipeline: Laplacian, eigengap, embedding, k-means.
 
-    L is built once and eigendecomposed one connected component of W's
-    nonzero pattern at a time; a connected W passes L itself, uncopied.
-    The split is exact, because L has no entry between components: each
-    block's eigenpairs are eigenpairs of L once the eigenvectors are
-    extended by zeros.  The blocks' eigenvalues are stable-sorted into the
-    ascending spectrum, and the embedding takes the eigenvectors of the
-    k smallest, zero outside their blocks.  When k is below the number of
-    components, more eigenvectors than k belong to the zero eigenvalue:
-    the embedding takes those of the blocks whose rounded zero eigenvalues
-    sort first (exact ties in component order), and the points of the
-    other components sit at the origin.  A dense eigh returned instead
-    some rotation of the null space, chosen by LAPACK.
+    The connected components of W's nonzero pattern are found first, and
+    L is eigendecomposed one component at a time.  A connected W builds L
+    whole and passes it uncopied.  A split W builds each component's block
+    of L alone, from the degrees of W's full rows, so each block equals
+    the same rows and columns of the whole L bit for bit, and no N x N
+    array besides W is held.  The split is exact, because L has no entry
+    between components: each block's eigenpairs are eigenpairs of L once
+    the eigenvectors are extended by zeros.  The blocks' eigenvalues are
+    stable-sorted into the ascending spectrum, and the embedding takes
+    the eigenvectors of the k smallest, zero outside their blocks.  When
+    k is below the number of components, more eigenvectors than k belong
+    to the zero eigenvalue: the embedding takes those of the blocks whose
+    rounded zero eigenvalues sort first (exact ties in component order),
+    and the points of the other components sit at the origin.  A dense
+    eigh returned instead some rotation of the null space, chosen by
+    LAPACK.
 
     Parameters
     ----------
@@ -257,15 +288,16 @@ def cluster(W, k_override=None, seed=0, k_max=None, restarts=10):
     count actually used, one label per point, and the number of connected
     components of W.
     """
-    W = np.asarray(W, dtype=float)
-    L = normalized_laplacian(W)
-    n = L.shape[0]
-    components = _connected_components(W)  # after L has refused a non-finite W
+    W = _check_affinity(W)
+    n = W.shape[0]
+    components = _connected_components(W)
+    deg = W.sum(axis=1)
     spectra = [
-        symmetric_eigendecomposition(L if len(components) == 1 else L[np.ix_(c, c)])
+        symmetric_eigendecomposition(
+            normalized_laplacian(W if len(components) == 1 else W[np.ix_(c, c)], deg[c])
+        )
         for c in components
     ]
-    del L  # k-means runs without the N x N Laplacian
     # an empty W has no components, and then an empty spectrum
     eigenvalues = np.concatenate([v for v, _ in spectra] or [np.empty(0)])
     order = np.argsort(eigenvalues, kind="stable")

@@ -3,6 +3,7 @@ ACCEPTANCE <name>: PASS/FAIL line with the measured numbers. Shared solves are
 cached so the whole suite stays fast."""
 
 import time
+import tracemalloc
 
 import numpy as np
 
@@ -99,8 +100,8 @@ def test_a_update_stationarity():
         Delta = rng.standard_normal((n, n))
         mu, rho = 4.0, 3.0
         cache = FactorizationCache(Y, mu, rho)
-        S = C - Delta / rho
-        A = update_a(S, cache.thin_product(S, delta / rho), cache.L)
+        St = (C - Delta / rho).T
+        A = update_a(St, cache.thin_product(St, delta / rho), cache.Lt).T
         grad = oracles.fd_gradient_wrt_a(Y, A, C, delta, Delta, mu, rho)
         worst = max(worst, float(np.abs(grad).max()))
     ok = worst <= 1e-6
@@ -316,3 +317,40 @@ def test_invariant_suite(tmp_path):
     notes.append("run-determinism")
 
     _verdict("invariant-suite", bool(ok), ", ".join(notes))
+
+
+def _traced_peak(fn, *args):
+    """fn(*args) and the peak of the memory it allocated, in bytes."""
+    tracemalloc.start()
+    try:
+        result = fn(*args)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    return result, peak
+
+
+def test_stage_memory_budgets(tmp_path):
+    # the bench's N = 1000 input at 50 iterations, whose affinity has ten
+    # components; peaks in units of one N x N float array.  The solve holds
+    # C^T and U^T, plus the Gram matrix its default mu forms and drops; the
+    # affinity is summed in place; the Laplacian is built one component at
+    # a time; the heatmaps are quantized a block of rows at a time.
+    Y = synth_union_of_subspaces(10, 5, 200, 100, 0.0, 0).Y
+    cfg = SolverConfig(max_iter=50, tol_primal=1e-300, tol_change=1e-300)
+    unit = Y.shape[1] ** 2 * 8
+    (C, _), solve = _traced_peak(solve_ssc, Y, cfg)
+    W, affinity = _traced_peak(build_affinity, C)
+    result, spectral = _traced_peak(cluster, W)
+    assert result.components == 10
+    export = max(
+        _traced_peak(export_heatmap, M, str(tmp_path / "m.pgm"))[1] for M in (C, W)
+    )
+    peaks = [solve / unit, affinity / unit, spectral / unit, export / unit]
+    ok = all(peak <= bound for peak, bound in zip(peaks, (3.3, 1.1, 0.5, 0.25)))
+    _verdict(
+        "stage-memory-budgets",
+        ok,
+        "peaks / (N^2 * 8 B): solve {:.2f}, affinity {:.2f}, cluster {:.2f}, "
+        "export {:.2f}".format(*peaks),
+    )

@@ -82,9 +82,9 @@ def test_default_mu_scaling():
 
 
 def _a_update(C, U, u, cache):
-    """The A-update of every row at once."""
-    S = C - U
-    return update_a(S, cache.thin_product(S, u), cache.L)
+    """The A-update of every point at once, taken point-major as A^T."""
+    St = (C - U).T
+    return update_a(St, cache.thin_product(St, u), cache.Lt).T
 
 
 def _random_state(rng, n):
@@ -117,7 +117,7 @@ def test_update_a_matches_dense_solve():
         rho = float(rng.uniform(0.5, 5))
         cache = FactorizationCache(Y, mu, rho)
         # the thin factor keeps exactly the numerical rank of Y
-        assert cache.Qt.shape[0] - 1 == np.linalg.matrix_rank(Y)
+        assert cache.Q.shape[1] - 1 == np.linalg.matrix_rank(Y)
         A = _a_update(C, Delta / rho, delta / rho, cache)
         expected = oracles.dense_a_update(Y, C, delta, Delta, mu, rho)
         assert np.max(np.abs(A - expected)) <= 1e-10
@@ -162,7 +162,7 @@ def test_factorization_cache_solves_the_normal_system():
 
     def check(rho):
         M = mu * (Y.T @ Y) + rho * np.eye(6) + rho * np.ones((6, 6))
-        M_inv = (np.eye(6) - cache.L @ cache.Qt) / rho
+        M_inv = (np.eye(6) - cache.Lt.T @ cache.Q.T) / rho
         assert np.allclose(M_inv @ rhs, np.linalg.solve(M, rhs), atol=1e-10)
 
     check(rho)
@@ -342,11 +342,15 @@ def test_affine_residual_matches_column_sums():
         cache = FactorizationCache(Y, mu=3.0, rho=2.0)
         for rho in (2.0, 16.0):
             cache.set_rho(rho)
-            S, u = C - Delta / rho, delta / rho
-            E = cache.thin_product(S, u)
-            want = update_a(S, E, cache.L).sum(axis=0) - 1.0
-            got = cache.affine_residual(E, u)
-            assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(S))
+            St, u = (C - Delta / rho).T, delta / rho
+            Et = cache.thin_product(St, u)
+            want = update_a(St, Et, cache.Lt).sum(axis=1) - 1.0
+            got = cache.affine_residual(Et, u)
+            assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(St))
+            # a tile of the points from lo on gives those rows of E^T
+            lo = n // 2
+            tile = cache.thin_product(St[lo:], u[lo:], lo)
+            assert np.max(np.abs(tile - Et[lo:])) <= 1e-12 * np.max(np.abs(Et))
 
 
 def test_solve_ssc_duplicate_columns():

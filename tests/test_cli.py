@@ -534,6 +534,17 @@ def test_output_naming_a_directory_exits_config(tmp_path, monkeypatch, capsys, t
     assert list((tmp_path / "wdir").iterdir()) == []
 
 
+def test_output_through_a_symlink_rewrites_its_target(tmp_path, monkeypatch):
+    # the link stays a link, and the file it names takes the new heatmap
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "real.pgm").write_bytes(b"REAL")
+    os.symlink("real.pgm", tmp_path / "link.pgm")
+    assert main(["--synth", "3,2,50,8,0.0,7", "--out-w", "link.pgm"]) == EXIT_OK
+    assert os.readlink(tmp_path / "link.pgm") == "real.pgm"
+    assert (tmp_path / "real.pgm").read_bytes().startswith(b"P5\n24 24\n255\n")
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["link.pgm", "real.pgm"]
+
+
 @pytest.mark.parametrize("flag", ["--mu", "--rho"])
 def test_infinite_weight_exits_config(capsys, flag):
     # refused as configuration, not reported as a divergence of the solve

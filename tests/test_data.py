@@ -13,6 +13,7 @@ import oracles
 from ssclust import (
     FormatError,
     InputError,
+    admm,
     export_convergence,
     export_heatmap,
     export_labels,
@@ -380,10 +381,25 @@ def test_export_heatmap_block_mass(tmp_path):
     assert oracles.block_mass_fraction(pixels.reshape(12, 12), [4, 4, 4]) >= 0.9
 
 
+def test_export_heatmap_streams_the_same_bytes(tmp_path, monkeypatch):
+    # two-row blocks with a one-row tail, of a C- and a Fortran-ordered M,
+    # give the bytes of one quantization of the whole array
+    monkeypatch.setattr(admm, "TILE_ELEMENTS", 2 * 5)
+    M = np.random.default_rng(23).normal(size=(7, 5))
+    pixels = np.rint(255.0 * np.abs(M) / np.abs(M).max()).astype(np.uint8)
+    p = tmp_path / "m.pgm"
+    for layout in (M, np.asfortranarray(M)):
+        export_heatmap(layout, str(p))
+        assert p.read_bytes() == b"P5\n5 7\n255\n" + pixels.tobytes()
+
+
 def test_export_heatmap_rejects_nonfinite(tmp_path):
-    M = np.array([[0.0, np.inf]])
-    with pytest.raises(InputError):
-        export_heatmap(M, str(tmp_path / "bad.pgm"))
+    # refused before the file is opened
+    for bad in (np.inf, -np.inf, np.nan):
+        M = np.array([[0.0, 1.0], [bad, -2.0]])
+        with pytest.raises(InputError):
+            export_heatmap(M, str(tmp_path / "bad.pgm"))
+        assert not (tmp_path / "bad.pgm").exists()
 
 
 def test_export_labels_exact(tmp_path):

@@ -17,6 +17,7 @@ from ssclust import (
     normalized_laplacian,
     symmetric_eigendecomposition,
 )
+from ssclust.admm import tile_rows
 from ssclust.spectral import default_k_max
 
 
@@ -371,6 +372,78 @@ def test_cluster_holds_no_dense_eigendecomposition():
             tracemalloc.stop()
         assert result.components == result.estimated_k == len(sizes)
         assert peak <= bound * W.nbytes
+
+
+def whole_laplacian_cluster(W):
+    """The split pipeline on blocks cut from the whole L, as a reference.
+
+    The components come from the transitive closure of W != 0, ordered by
+    their smallest vertex, and each block is L[np.ix_(c, c)] of the one
+    N x N Laplacian.
+    """
+    reach = (W != 0) | np.eye(W.shape[0], dtype=bool)
+    while True:
+        wider = (reach.astype(int) @ reach.astype(int)) > 0
+        if np.array_equal(wider, reach):
+            break
+        reach = wider
+    components = [np.flatnonzero(row) for row in np.unique(reach, axis=0)]
+    components.sort(key=lambda c: c[0])
+    L = normalized_laplacian(W)
+    spectra = [symmetric_eigendecomposition(L[np.ix_(c, c)]) for c in components]
+    eigenvalues = np.concatenate([v for v, _ in spectra])
+    order = np.argsort(eigenvalues, kind="stable")
+    k = estimate_num_clusters(eigenvalues[order], default_k_max(W.shape[0]))
+    chosen = order[:k]
+    embedding = np.zeros((W.shape[0], k))
+    start = 0
+    for members, (_, vectors) in zip(components, spectra):
+        cols = np.flatnonzero((chosen >= start) & (chosen < start + members.size))
+        embedding[np.ix_(members, cols)] = vectors[:, chosen[cols] - start]
+        start += members.size
+    rows = np.linalg.norm(embedding, axis=1)
+    labels = kmeans(embedding / np.where(rows > 0, rows, 1.0)[:, None], k)
+    return eigenvalues[order], k, labels
+
+
+def test_split_cluster_matches_blocks_of_the_whole_laplacian():
+    # each component's Laplacian is built alone, from the degrees of W's
+    # full rows, so it equals the whole L's block bit for bit; the points
+    # are shuffled so that no component is a run of consecutive indices,
+    # and W is given in both memory layouts
+    rng = np.random.default_rng(29)
+    for sizes in ([40, 35, 30, 25, 1], [60, 60, 60]):
+        n = sum(sizes)
+        W = ideal_block_affinity(sizes) * rng.uniform(0.01, 1.0, size=(n, n))
+        W = np.triu(W) + np.triu(W).T
+        perm = rng.permutation(n)
+        W = W[np.ix_(perm, perm)]
+        for layout in (W, np.asfortranarray(W)):
+            result = cluster(layout)
+            ev, k, labels = whole_laplacian_cluster(layout)
+            assert result.components == len(sizes)
+            assert np.array_equal(result.eigenvalues, ev)
+            assert result.estimated_k == k
+            assert np.array_equal(result.labels, labels)
+
+
+def test_build_affinity_equals_the_symmetric_sum():
+    # the in-place sum, strip by strip (300 points take three strips, the
+    # last one shorter), against |C~| + |C~|^T on the whole array, bit for bit,
+    # for a C- and a Fortran-ordered C; W is C-ordered either way
+    rng = np.random.default_rng(31)
+    C = rng.normal(size=(300, 300)) * (rng.uniform(size=(300, 300)) < 0.2)
+    np.fill_diagonal(C, 0.0)
+    C[:, 7] = 0.0  # a zero column passes through
+    assert tile_rows(300) < 300 / 2
+    scaled = np.abs(C)
+    peaks = scaled.max(axis=0)
+    scaled /= np.where(peaks > 0, peaks, 1.0)
+    want = scaled + scaled.T
+    for layout in (C, np.asfortranarray(C)):
+        W = build_affinity(layout)
+        assert W.flags.c_contiguous
+        assert np.array_equal(W, want)
 
 
 def test_zero_eigenvalues_count_components_up_to_30():
