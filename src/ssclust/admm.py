@@ -18,8 +18,8 @@ the eigendecomposition of the smaller of Y^T Y and Y Y^T (see
 
 The program splits by column: column j of C is its own lasso (Elhamifar
 & Vidal 2013), and column j of A needs only column j of S and E.  So the
-solve keeps its iterates point-major, as C^T and U^T with one point per
-row, and takes the transposed form one tile of points b at a time:
+solve keeps its iterate point-major, one point per row, and takes the
+transposed form one tile of points b at a time:
 
     E^T_b = S^T_b Q - Q_b + u_b v^T,   A^T_b = S^T_b - E^T_b L^T,
 
@@ -30,34 +30,37 @@ residual A^T 1 - 1 and the step on u, u += A^T 1 - 1
 1, E^T_b's first column is S^T_b 1 - 1 + u_b, and
 A^T_b 1 = S^T_b 1 - E^T_b (L^T 1) (`FactorizationCache.affine_residual`).
 
-The solve holds two N x N arrays, C^T and U^T; S^T is never stored.
-Each tile of max(1, TILE_ELEMENTS // N) consecutive rows of C^T takes
-every step while its rows are still in cache, reading its rows of C^T
-and U^T once.  For the rows b of a tile:
+The solve holds one N x N array, J^T with J = A + U, and the vector u.
+J alone fixes C and U.  By the Moreau decomposition of the l1 prox
+(Parikh & Boyd 2014, section 2.5), the shrink of J at level 1/rho is
+J - clip(J, -1/rho, 1/rho), so the ascent step U + A - C+ = J - C+ is
+clip(J) off the diagonal and J_ii on it, where C+ is zero.  `update_c`
+takes this split of J into (U, C+).  And since A^T = S^T - E^T L^T with
+S = C - U, the next J^T is A^T + U^T = C^T - E^T L^T: neither A nor S is
+kept.
+Each tile of max(1, TILE_ELEMENTS // N) consecutive rows of J^T takes
+every step while its rows are still in cache.  For the rows b of a tile:
 
+    (U^T_b, C^T_b) = split of J^T_b                       (update_c)
     S^T_b = C^T_b - U^T_b
     E^T_b and the tile's A^T_b 1 - 1          (FactorizationCache)
-    A^T_b = S^T_b - E^T_b L^T                             (update_a)
-    J_b = A^T_b + U^T_b
-    U^T_b <- clip(J_b, -1/rho, 1/rho), with U_ii = J_ii
-    C+_b = J_b - U^T_b                                    (update_c)
-    max |A_b - C+_b|, max |C+_b - C_b|, and on
+    J^T_b <- C^T_b - E^T_b L^T                            (update_a)
+    (U+_b, C+_b) = split of J^T_b                         (update_c)
+    max |U+_b - U^T_b|, max |C+_b - C^T_b|, and on
     balancing iterations their squared norms           (residual_report)
-    C^T_b <- C+_b
 
-The shrink, the residuals and the multiplier step are elementwise, so
-they read the transposed tiles as they are; a tile's diagonal entries
-are the same in either orientation.  u is stepped once every tile has
-read it.  The solve returns C as the transposed view of C^T.
+U+ - U is A - C+ in exact arithmetic, the split residual, diagonal
+included.  The split, the residuals and the multiplier step are
+elementwise, so they read the transposed tiles as they are; a tile's
+diagonal entries are the same in either orientation.  u is stepped once
+every tile has read it.  At exit J^T is shrunk to C^T in place, and the
+solve returns C as its transposed view.
 
-The multiplier step on U is taken by the shrink.  By the Moreau
-decomposition of the l1 prox (Parikh & Boyd 2014, section 2.5), the
-shrink of J at level 1/rho is J - clip(J, -1/rho, 1/rho), so the ascent
-step U + A - C+ = J - C+ is clip(J) off the diagonal and J_ii on it, where
-C+ is zero.  U is not scanned for non-finite entries: one can only come
-from a non-finite J entry, which leaves a non-finite entry in C+
-(inf - inf on the diagonal), so max |A - C+| and max |C+ - C| are
-non-finite in the same iteration.
+Nothing is scanned for non-finite entries.  A non-finite J entry gives a
+non-finite C+ entry in the same split: clip(NaN) is NaN, inf - clip(inf)
+is inf, and on the diagonal inf - inf is NaN.  So max |C+ - C| is
+non-finite in the iteration where J first is, and a non-finite E^T
+leaves a non-finite u.
 
 Unless rho is given, it starts at mu and is balanced in a damped window
 (Boyd et al. 2011, section 3.4.1): every BALANCE_EVERY iterations up to
@@ -65,15 +68,18 @@ iteration BALANCE_UNTIL, rho is multiplied by BALANCE_FACTOR when the
 primal residual norm sqrt(||A^T 1 - 1||^2 + ||A - C||_F^2) exceeds
 BALANCE_RATIO times the dual residual norm rho ||C - C_prev||_F, and
 divided by it in the opposite case.  A change of rho by t divides u and U
-by t and refactors only an r x N block
-(`FactorizationCache.set_rho`).  After the window rho stays fixed, so the
+by t, rewriting each tile of J as C + U / t, and refactors only an r x N
+block (`FactorizationCache.set_rho`).  With t a power of two the clip of
+the new J at level 1 / (rho t) is exactly U / t, and C moves by at most
+one ulp of the new J entry.  After the window rho stays fixed, so the
 usual fixed-rho convergence argument holds for the rest of the run.
 
 The steps take and return plain arrays, and write into the `out`/`work`
 arrays they are given.  The solver is deterministic: identical inputs
 produce identical iterates.  They agree with the textbook loop (U += A - C
 and A^T 1 - 1 on whole arrays) up to rounding: U is rounded once, as
-clip(J), instead of twice, and A^T 1 is formed from E^T.
+clip(J), instead of twice, J as C - E^T L^T, and A^T 1 is formed from
+E^T.
 """
 
 import math
@@ -257,10 +263,20 @@ class FactorizationCache:
 
 
 def _default_mu(Y):
-    """DEFAULT_MU_SCALE / max_{i != j} |y_i^T y_j|, the default data weight."""
-    gram = Y.T @ Y
-    np.fill_diagonal(gram, 0.0)
-    coh = _max_abs(gram)
+    """DEFAULT_MU_SCALE / max_{i != j} |y_i^T y_j|, the default data weight.
+
+    The Gram matrix Y^T Y is taken one tile of `tile_rows(N)` rows at a
+    time, so no N x N array is formed; its entries are the same dot
+    products, so mu is too.
+    """
+    n = Y.shape[1]
+    rows = tile_rows(n)
+    peaks = []
+    for lo in range(0, n, rows):
+        gram = Y[:, lo : lo + rows].T @ Y
+        gram.flat[lo :: n + 1] = 0.0  # the entries (i, lo + i)
+        peaks.append(_max_abs(gram))
+    coh = float(np.max(peaks))  # keeps a NaN, as one whole-Gram maximum does
     if coh <= 0.0:
         return DEFAULT_MU_SCALE  # mutually orthogonal columns; any weight works
     return float(DEFAULT_MU_SCALE / coh)
@@ -271,7 +287,7 @@ def _max_abs(x):
     return float(max(x.max(), -x.min()))
 
 
-def update_a(St, Et, Lt, out=None):
+def update_a(Bt, Et, Lt, out=None):
     """Minimize the augmented Lagrangian over A with C, u, U fixed.
 
     Solves M A = mu Y^T Y + rho (1 1^T + C - 1 u^T - U).  That right-hand
@@ -281,42 +297,43 @@ def update_a(St, Et, Lt, out=None):
 
         A = S - L E,   S = C - U,   E = Q^T S - Q^T + v u^T.
 
-    It is taken point-major, A^T = S^T - E^T L^T, where E^T is
-    `FactorizationCache.thin_product(St, u)` and Lt the cache's L^T.  St
-    and Et may hold the same rows (points) of the whole S^T and E^T,
-    which gives those rows of A^T.  C must have an exactly zero diagonal
-    (every C from `update_c` has one); it stands in for C - diag(C) as it
-    is.  A^T is written to `out`, an array distinct from St.
+    It is taken point-major, as Bt - E^T L^T, where E^T is
+    `FactorizationCache.thin_product(St, u)` and Lt the cache's L^T.  With
+    Bt = S^T this is A^T; with Bt = C^T it is A^T + U^T, the next J^T the
+    solve keeps.  Bt and Et may hold the same rows (points) of the whole
+    arrays, which gives those rows of the result.  C must have an exactly
+    zero diagonal (every C from `update_c` has one); it stands in for
+    C - diag(C) as it is.  The result is written to `out`, an array
+    distinct from Bt.
     """
-    At = np.matmul(Et, Lt, out=out)
-    return np.subtract(St, At, out=At)
+    out = np.matmul(Et, Lt, out=out)
+    return np.subtract(Bt, out, out=out)
 
 
-def update_c(A, U, rho, out=None, work=None, lo=0):
-    """Soft-threshold J = A + U at level 1/rho and zero the diagonal.
+def update_c(J, rho, out=None, work=None, lo=0):
+    """Split J = A + U into the next multiplier U and the shrink C of J.
 
-    A and U may hold rows lo, lo + 1, ... of N x N matrices, or of their
-    transposes as in the solve; the diagonal is then the block's entries
-    (i, lo + i).  The shrink,
-    max(|J| - 1/rho, 0) sgn(J), is taken as J - clip(J, -1/rho, 1/rho),
-    which differs only in the sign of exact zeros.  The clipped part goes
-    to `work`, with J_ii itself on the diagonal, so the result J - work has
-    an exactly zero diagonal, and work = U + A - C is the next scaled
-    multiplier U; the solve passes U itself as `work`.  A non-finite J_ii
-    gives a NaN C_ii.  The result is written to `out`; `out` and `work` are
-    distinct from each other and from A, and `out` from U.
+    J may hold rows lo, lo + 1, ... of an N x N matrix, or of its
+    transpose as in the solve; the diagonal is then the block's entries
+    (i, lo + i).  U is clip(J, -1/rho, 1/rho) off the diagonal and J_ii on
+    it, and C = J - U is the soft threshold max(|J| - 1/rho, 0) sgn(J) with
+    an exactly zero diagonal; it differs from that formula only in the sign
+    of exact zeros.  U is the ascent step U + A - C on the multiplier, and
+    C + U is J up to the one rounding of J - U.  A non-finite J entry gives
+    a non-finite C entry, a NaN on the diagonal.  Returns (U, C), written
+    to `work` and `out`; `work` is distinct from J and `out`, and `out` may
+    be J itself.
     """
-    J = np.add(A, U, out=out)
-    work = J.clip(-1.0 / rho, 1.0 / rho, out=work)
-    work.flat[lo :: J.shape[1] + 1] = J.diagonal(lo)
-    return np.subtract(J, work, out=J)
+    U = J.clip(-1.0 / rho, 1.0 / rho, out=work)
+    U.flat[lo :: J.shape[1] + 1] = J.diagonal(lo)
+    return U, np.subtract(J, U, out=out)
 
 
 def update_multipliers(u, affine):
     """Ascent step on the scaled multiplier u: u += A^T 1 - 1, in place.
 
-    `affine` is A^T 1 - 1.  The step on U, U += A - C, is taken by
-    `update_c` (see the module docstring).
+    `affine` is A^T 1 - 1.  The step on U, U += A - C, is the split that
+    `update_c` takes (see the module docstring).
     """
     u += affine
     return u
@@ -325,8 +342,9 @@ def update_multipliers(u, affine):
 def _balance_factor(affine, split_sq, change_sq, rho):
     """The factor for rho from the primal and dual residual norms.
 
-    `affine` is A^T 1 - 1, and split_sq and change_sq are ||A - C||_F^2
-    and ||C - C_prev||_F^2, as summed from `residual_report`.
+    `affine` is A^T 1 - 1, and split_sq and change_sq are ||A - C||_F^2,
+    taken as ||U - U_prev||_F^2, and ||C - C_prev||_F^2, as summed from
+    `residual_report`.
     """
     primal = math.hypot(np.linalg.norm(affine), math.sqrt(split_sq))
     dual = rho * math.sqrt(change_sq)
@@ -337,20 +355,22 @@ def _balance_factor(affine, split_sq, change_sq, rho):
     return 1.0
 
 
-def residual_report(A, C, C_prev, work=None, norms=False):
-    """The split and change residuals of a block of A, C and C_prev.
+def residual_report(U, U_prev, C, C_prev, work=None, norms=False):
+    """The split and change residuals of a block of the iterates.
 
-    The block may be rows of A, C and C_prev or, as in the solve, rows of
+    U - U_prev is A - C in exact arithmetic, so it is the split residual.
+    The block may be rows of the four arrays or, as in the solve, rows of
     their transposes: the maxima and squared norms of a difference do not
     depend on its orientation.
 
-    Returns the block's (||A - C||_inf, ||C - C_prev||_inf), followed,
-    when `norms`, by ||A - C||_F^2 and ||C - C_prev||_F^2 for the
-    balancing.  The differences are formed in `work`, an array of A's
-    shape.  The affine residual comes from `FactorizationCache`.
+    Returns the block's (||U - U_prev||_inf, ||C - C_prev||_inf),
+    followed, when `norms`, by ||U - U_prev||_F^2 and ||C - C_prev||_F^2
+    for the balancing.  The differences are formed in `work`, an array of
+    the blocks' shape, which may be U itself.  The affine residual comes
+    from `FactorizationCache`.
     """
     peaks, squares = [], []
-    for left, right in ((A, C), (C, C_prev)):
+    for left, right in ((U, U_prev), (C, C_prev)):
         diff = np.subtract(left, right, out=work)
         peaks.append(_max_abs(diff))
         if norms:
@@ -379,8 +399,8 @@ def solve_ssc(Y, cfg=None):
     C : array, shape (N, N)
         Coefficient matrix with exactly zero diagonal; column i is the
         sparse representation of point i in terms of the other points.
-        It is the transposed view of the solve's point-major C^T, so it
-        is Fortran-ordered.
+        It is the transposed view of the solve's point-major J^T, shrunk
+        in place at exit, so it is Fortran-ordered.
     report : SolveReport
         Convergence flag, iteration count, final residuals, mu, the final
         rho and its number of changes, and the full residual history.
@@ -392,11 +412,11 @@ def solve_ssc(Y, cfg=None):
     n = Y.shape[1]
     rows = tile_rows(n)
 
-    # the loop's N x N arrays C^T, U^T and its tiles, written in place.
-    # Allocated before the Gram matrix: allocated after it, the N x N
-    # arrays raised the peak RSS at N = 1000 by 2.4 MB (90.1 -> 92.5 MB).
-    Ct, Ut = np.zeros((n, n)), np.zeros((n, n))
-    s_tile, a_tile, c_tile = (np.empty((min(rows, n), n)) for _ in range(3))
+    # the loop's one N x N array J^T = (A + U)^T and its tiles, written in
+    # place: the split of a tile's J^T into U and C, S, and the split of
+    # the next J^T
+    Jt = np.zeros((n, n))
+    u_tile, c_tile, s_tile, next_tile = (np.empty((min(rows, n), n)) for _ in range(4))
     u, affine = np.zeros(n), np.empty(n)
     history = []
     converged = False
@@ -407,7 +427,7 @@ def solve_ssc(Y, cfg=None):
         mu = float(cfg.mu) if cfg.mu is not None else _default_mu(Y)
         rho = float(cfg.rho) if cfg.rho is not None else mu
         cache = FactorizationCache(Y, mu, rho)
-        # per tile: max |A - C|, max |C - C_prev|, and their squared norms
+        # per tile: max |U - U_prev|, max |C - C_prev|, and their squared norms
         tile_residuals = np.empty((-(-n // rows), 4))
         for iteration in range(1, cfg.max_iter + 1):
             balance = (
@@ -418,22 +438,26 @@ def solve_ssc(Y, cfg=None):
             width = 4 if balance else 2
             for k, lo in enumerate(range(0, n, rows)):
                 b, h = slice(lo, lo + rows), min(rows, n - lo)
-                St_b = np.subtract(Ct[b], Ut[b], out=s_tile[:h])
+                Ut_b, Ct_b = update_c(
+                    Jt[b], rho, out=c_tile[:h], work=u_tile[:h], lo=lo
+                )
+                St_b = np.subtract(Ct_b, Ut_b, out=s_tile[:h])
                 Et_b = cache.thin_product(St_b, u[b], lo)
                 affine[b] = cache.affine_residual(Et_b, u[b])
-                At_b = update_a(St_b, Et_b, cache.Lt, out=a_tile[:h])
-                C_next = update_c(At_b, Ut[b], rho, out=c_tile[:h], work=Ut[b], lo=lo)
-                # S^T_b is spent: its buffer takes the differences
-                tile_residuals[k, :width] = residual_report(
-                    At_b, C_next, Ct[b], work=s_tile[:h], norms=balance
+                update_a(Ct_b, Et_b, cache.Lt, out=Jt[b])
+                # S^T_b is spent: its buffer takes the next U, then the differences
+                U_next, C_next = update_c(
+                    Jt[b], rho, out=next_tile[:h], work=s_tile[:h], lo=lo
                 )
-                Ct[b] = C_next
+                tile_residuals[k, :width] = residual_report(
+                    U_next, Ut_b, C_next, Ct_b, work=U_next, norms=balance
+                )
             r_affine = _max_abs(affine)
             # the maximum over tiles keeps a NaN
             r_split, r_change = tile_residuals[:, :2].max(axis=0).tolist()
             u = update_multipliers(u, affine)
-            # a non-finite A, C or U makes max |A - C| or max |C - C_prev|
-            # non-finite, and a non-finite E^T a non-finite u
+            # a non-finite J makes max |C - C_prev| non-finite, and a
+            # non-finite E^T a non-finite u
             finite = math.isfinite(r_split) and math.isfinite(r_change)
             if not (finite and np.isfinite(u).all()):
                 raise DivergenceError(f"non-finite iterate at iteration {iteration}")
@@ -446,10 +470,20 @@ def solve_ssc(Y, cfg=None):
                 t = _balance_factor(affine, split_sq, change_sq, rho)
                 if t != 1.0:
                     cache.set_rho(rho * t)
+                    # J = C + U / t: its split at the new rho is U / t and C,
+                    # the latter up to one ulp of the new J
+                    for lo in range(0, n, rows):
+                        b, h = slice(lo, lo + rows), min(rows, n - lo)
+                        Ut_b, Ct_b = update_c(
+                            Jt[b], rho, out=c_tile[:h], work=u_tile[:h], lo=lo
+                        )
+                        np.add(Ct_b, np.divide(Ut_b, t, out=Ut_b), out=Jt[b])
                     rho *= t
                     u /= t
-                    Ut /= t
                     rho_changes += 1
+        for lo in range(0, n, rows):
+            b, h = slice(lo, lo + rows), min(rows, n - lo)
+            update_c(Jt[b], rho, out=Jt[b], work=u_tile[:h], lo=lo)
 
     report = SolveReport(
         converged=converged,
@@ -462,4 +496,4 @@ def solve_ssc(Y, cfg=None):
         rho_changes=rho_changes,
         history=history,
     )
-    return Ct.T, report
+    return Jt.T, report

@@ -1,12 +1,14 @@
 """Command-line pipeline: ingest, optional sketching, solve, cluster, export.
 
 Stages run in a fixed order (ingest -> project -> solve -> spectral ->
-export).  The argument parser is the only schema: config-file keys, their
-types and defaults, and the lines of the run record all come from its flag
-declarations.  Every run can drop a metadata file of reloadable key=value
-lines, so a finished run can be reproduced from its metadata alone (rho
-only when given: a balanced run records its final rho as a comment, so its
-replay balances again).  A value the config reader would not return
+export), except that the --out-c heatmap is written as soon as the
+affinity is built, so that C is freed before clustering.  The argument
+parser is the only schema: config-file keys, their types and defaults,
+and the lines of the run record all come from its flag declarations.
+Every run can drop a metadata file of reloadable key=value lines, so a
+finished run can be reproduced from its metadata alone (rho only when
+given: a balanced run records its final rho as a comment, so its replay
+balances again).  A value the config reader would not return
 unchanged (a non-ASCII character, a line break, or whitespace at either
 end) cannot be recorded, so with --out-meta it is refused with exit code 2.
 
@@ -316,6 +318,12 @@ def main(argv=None):
             )
         stage = "spectral"
         W = build_affinity(C)
+        if args.out_c is not None:
+            stage = "export"
+            pending.append(_PendingOutput(args.out_c, len(pending)))
+            export_heatmap(C, pending[-1])
+            stage = "spectral"
+        del C  # so that clustering holds W and its Laplacian blocks alone
         k_max = args.k_max if args.k_max is not None else default_k_max(W.shape[0])
         result = cluster(
             W,
@@ -328,7 +336,6 @@ def main(argv=None):
         for path, export, value in (
             (args.out_labels, export_labels, result.labels),
             (args.out_w, export_heatmap, W),
-            (args.out_c, export_heatmap, C),
             (args.out_conv, export_convergence, report.history),
         ):
             if path is not None:

@@ -79,6 +79,13 @@ def test_default_mu_scaling():
     # its off-diagonal entries are -4, 2 and 0, below the diagonal's 16
     Y = np.array([[1.0, -4.0, 0.0], [2.0, 0.0, 1.0]])
     assert default_mu(Y) == pytest.approx(200.0)
+    # N = 300 takes the Gram matrix in three tiles, the last one short:
+    # mu is the whole Gram matrix's, bit for bit
+    Y = np.random.default_rng(48).normal(size=(7, 300))
+    assert 300 % tile_rows(300) != 0 and tile_rows(300) < 150
+    gram = Y.T @ Y
+    np.fill_diagonal(gram, 0.0)
+    assert default_mu(Y) == 800.0 / np.abs(gram).max()
 
 
 def _a_update(C, U, u, cache):
@@ -189,14 +196,14 @@ def test_factorization_cache_rejects_degenerate_scales():
 
 def test_update_c_example_grid():
     shifted = np.array([[0.3, 1.5], [-0.2, 2.0]])
-    C = update_c(shifted, np.zeros((2, 2)), rho=1.0)
+    _, C = update_c(shifted, rho=1.0)
     assert np.allclose(C, [[0.0, 0.5], [0.0, 0.0]], atol=0)
 
 
 def test_update_c_large_rho_limit():
     rng = np.random.default_rng(31)
     A = rng.normal(size=(5, 5))
-    C = update_c(A, np.zeros((5, 5)), rho=1e12)
+    _, C = update_c(A, rho=1e12)
     target = A.copy()
     np.fill_diagonal(target, 0.0)
     assert np.max(np.abs(C - target)) <= 2e-12
@@ -206,28 +213,58 @@ def test_update_c_matches_scalar_oracle():
     rng = np.random.default_rng(32)
     A = rng.normal(size=(4, 4))
     Delta = rng.normal(size=(4, 4))
-    C = update_c(A, Delta / 2.0, rho=2.0)
+    _, C = update_c(A + Delta / 2.0, rho=2.0)
     expected = oracles.scalar_soft_threshold(A + Delta / 2.0, 0.5)
     np.fill_diagonal(expected, 0.0)
     assert np.allclose(C, expected, atol=0)
     assert np.max(np.abs(np.diag(C))) == 0.0
 
 
+def test_update_c_split_invariants():
+    # U = clip(J) off the diagonal and J_ii on it, and C = J - U, rounded
+    # once, with a zero diagonal.  After the balancing's rewrite
+    # J' = C + U / t, the split at rho t gives back U / t exactly, and C up
+    # to one ulp of J'
+    rng = np.random.default_rng(35)
+    for _ in range(200):
+        h, n = sorted(rng.integers(1, 12, size=2))
+        lo = int(rng.integers(0, n - h + 1))
+        J = rng.normal(size=(h, n)) * 10 ** rng.uniform(-3, 3)
+        rho = 1.0 / rng.uniform(0.01, 3)
+        U, C = update_c(J, rho, lo=lo)
+        diagonal = np.zeros((h, n), dtype=bool)
+        diagonal[np.arange(h), lo + np.arange(h)] = True
+        assert np.all(np.abs(U[~diagonal]) <= 1.0 / rho)
+        assert np.array_equal(U[diagonal], J[diagonal])
+        assert np.all(C[diagonal] == 0.0)
+        assert np.array_equal(C, J - U)
+        assert np.all(np.abs(C + U - J) <= np.spacing(np.abs(J)))
+        for t in (2.0, 0.5):
+            J_t = C + U / t
+            U_t, C_t = update_c(J_t, rho * t, lo=lo)
+            assert np.array_equal(U_t, U / t)
+            assert np.all(np.abs(C_t - C) <= np.spacing(np.abs(J_t)))
+    # the block split in place, as the solve shrinks J at exit
+    U, C = update_c(J, rho, lo=lo)
+    U_in_place, C_in_place = update_c(J, rho, out=J, work=np.empty_like(J), lo=lo)
+    assert C_in_place is J
+    assert np.array_equal(C_in_place, C) and np.array_equal(U_in_place, U)
+
+
 # The shrink max(|v| - 1/rho, 0) sgn(v) is update_c's off-diagonal action;
-# these three tests check it as 2 x 2 cases and row blocks with U = 0 or
-# random U.
+# these three tests check it as 2 x 2 cases and as row blocks of A + U.
 
 
 def test_soft_threshold_scalar_examples():
     # level 0.5: 1.2 shrinks to 0.7, -0.3 to zero
-    C = update_c(np.array([[9.0, 1.2], [-0.3, 9.0]]), np.zeros((2, 2)), rho=2.0)
+    _, C = update_c(np.array([[9.0, 1.2], [-0.3, 9.0]]), rho=2.0)
     assert C.dtype == np.float64
     assert C[0, 1] == pytest.approx(0.7)
     assert C[1, 0] == 0.0
 
     # level 0 (rho = inf) is the identity on any finite off-diagonal value
     for v in (-4.0, -0.1, 0.0, 2.5, 1e9):
-        C = update_c(np.array([[1.0, v], [-v, 1.0]]), np.zeros((2, 2)), rho=np.inf)
+        _, C = update_c(np.array([[1.0, v], [-v, 1.0]]), rho=np.inf)
         assert np.array_equal(C, [[0.0, v], [-v, 0.0]])
 
 
@@ -242,7 +279,7 @@ def test_soft_threshold_matches_scalar_oracle():
         rho = 1.0 / float(rng.uniform(0, 2))
         expected = oracles.scalar_soft_threshold(A + U, 1.0 / rho)
         expected[np.arange(h), lo + np.arange(h)] = 0.0
-        C = update_c(A, U, rho, lo=lo)
+        _, C = update_c(A + U, rho, lo=lo)
         assert np.allclose(C, expected, atol=0)
         assert np.all(C[np.arange(h), lo + np.arange(h)] == 0.0)
 
@@ -255,7 +292,7 @@ def test_soft_threshold_properties():
         rho = 1.0 / float(rng.uniform(0, 3))
         level = 1.0 / rho
         A = np.array([[0.0, v], [0.0, 0.0]])
-        out = update_c(A, np.zeros((2, 2)), rho=rho)[0, 1]
+        out = update_c(A, rho=rho)[1][0, 1]
         assert abs(out) <= abs(v)
         if abs(v) <= level:
             assert out == 0.0
@@ -271,19 +308,18 @@ def test_update_multipliers_examples():
     assert update_multipliers(u, A.sum(axis=0) - 1.0) is u  # updated in place
     assert np.allclose(u, [0.1, -0.05])
 
-    # the step on U is the shrink's: a feasible pair whose U is sgn(C) / rho
+    # the step on U is the split's: a feasible pair whose U is sgn(C) / rho
     # on the support is a fixed point of both
-    C = np.array([[0.0, 1.0], [1.0, 0.0]])
+    C0 = np.array([[0.0, 1.0], [1.0, 0.0]])
     U0 = np.array([[0.0, 0.25], [0.25, 0.0]])
-    U = U0.copy()
-    assert np.array_equal(update_c(C, U, rho=4.0, work=U), C)
+    U, C = update_c(C0 + U0, rho=4.0)
+    assert np.array_equal(C, C0)
     assert np.array_equal(U, U0)
 
     # from U = 0: U gains exactly A - C, which is clip(A) off the diagonal
     # and A_ii on it
     A = np.array([[2.0, -3.0, 0.5], [0.25, 4.0, -0.75], [1.5, -0.5, -2.0]])
-    U = np.zeros((3, 3))
-    C = update_c(A, U, rho=1.0, work=U)
+    U, C = update_c(A, rho=1.0)
     assert np.array_equal(C, [[0.0, -2.0, 0.0], [0.0, 0.0, 0.0], [0.5, 0.0, 0.0]])
     assert np.array_equal(U, A - C)
 
@@ -296,8 +332,7 @@ def test_update_multipliers_deterministic_recompute():
     affine = A.sum(axis=0) - 1.0
     steps = []
     for _ in range(2):
-        U = U0.copy()
-        C = update_c(A, U, rho=2.0, work=U)
+        U, C = update_c(A + U0, rho=2.0)
         steps.append((update_multipliers(u0.copy(), affine), C, U))
     (u1, C1, U1), (u2, C2, U2) = steps
     assert np.array_equal(u1, u2) and np.array_equal(C1, C2) and np.array_equal(U1, U2)
@@ -311,26 +346,31 @@ def test_update_multipliers_deterministic_recompute():
 
 def test_residual_report_cases():
     zeros = np.zeros((3, 3))
-    assert residual_report(zeros, zeros, zeros) == [0.0, 0.0]
+    assert residual_report(zeros, zeros, zeros, zeros) == [0.0, 0.0]
 
-    # feasible state reports a zero split residual
+    # a feasible state, where the multiplier has stopped moving, reports a
+    # zero split residual
     C = np.array([[0.0, 1.0], [1.0, 0.0]])
-    r2, _ = residual_report(C, C, np.zeros((2, 2)))
+    U = np.array([[0.5, 0.25], [0.25, -0.5]])
+    r2, _ = residual_report(U, U, C, np.zeros((2, 2)))
     assert r2 == 0.0
 
-    # hand 2x2 case against a scalar computation
-    A = np.array([[0.6, 0.2], [0.3, 0.9]])
+    # hand 2x2 case against a scalar computation: U - U_prev is A - C
+    U_prev = np.array([[0.5, 1.0], [1.0, -0.25]])
+    U = np.array([[1.1, 0.95], [0.95, 0.65]])
     C = np.array([[0.0, 0.25], [0.35, 0.0]])
     C_prev = np.array([[0.0, 0.2], [0.3, 0.0]])
-    whole = residual_report(A, C, C_prev, norms=True)
+    whole = residual_report(U, U_prev, C, C_prev, norms=True)
     assert whole == pytest.approx([0.9, 0.05, 0.6**2 + 2 * 0.05**2 + 0.9**2, 2 * 0.05**2])
     # a row at a time: the maxima and squares per row
     rows = [
-        residual_report(A[i : i + 1], C[i : i + 1], C_prev[i : i + 1], norms=True)
+        residual_report(*(M[i : i + 1] for M in (U, U_prev, C, C_prev)), norms=True)
         for i in range(2)
     ]
     assert np.max(rows, axis=0)[:2].tolist() == whole[:2]
     assert np.sum(rows, axis=0)[2:] == pytest.approx(whole[2:])
+    # the differences may be formed in U itself, as the solve does
+    assert residual_report(U.copy(), U_prev, C, C_prev, work=U, norms=True) == whole
 
 
 def test_affine_residual_matches_column_sums():
@@ -473,18 +513,22 @@ def test_solve_ssc_result_does_not_depend_on_the_tile_size(monkeypatch, rows):
 def test_non_finite_entries_are_caught_without_scanning_u(
     monkeypatch, value, target, diagonal
 ):
-    # one bad entry in A or U as the shrink of the middle tile (rows 3-5 of
-    # 8) reads them, at iteration 4: the tile's residuals report it, and
-    # the solve stops there
+    # one bad entry in A or U as the middle tile (rows 3-5 of 8) reads it
+    # at iteration 4: A through the J = A + U that the tile's second split
+    # reads, U as its first split returns it.  The tile's residuals report
+    # it, and the solve stops there
     monkeypatch.setattr(admm, "TILE_ELEMENTS", 3 * 8)
     state = {"calls": 0, "reports": []}
 
-    def poisoned_update_c(A, U, rho, out=None, work=None, lo=0):
-        state["calls"] += 1
-        if state["calls"] == 3 * 3 + 2:
-            column = lo + 1 if diagonal else lo + 2
-            (A if target == "A" else U)[1, column] = value
-        return update_c(A, U, rho, out=out, work=work, lo=lo)
+    def poisoned_update_c(J, rho, out=None, work=None, lo=0):
+        state["calls"] += 1  # two splits per tile, three tiles per iteration
+        column = lo + 1 if diagonal else lo + 2
+        if target == "A" and state["calls"] == 3 * 6 + 2 * 1 + 2:
+            J[1, column] = value
+        U, C = update_c(J, rho, out=out, work=work, lo=lo)
+        if target == "U" and state["calls"] == 3 * 6 + 2 * 1 + 1:
+            U[1, column] = value
+        return U, C
 
     def recorded_residual_report(*args, **kwargs):
         report = residual_report(*args, **kwargs)

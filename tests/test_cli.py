@@ -256,6 +256,38 @@ def test_full_run_determinism(tmp_path):
         assert (outs["one"] / name).read_bytes() == (outs["two"] / name).read_bytes()
 
 
+def test_labels_do_not_depend_on_the_outputs_asked_for(tmp_path):
+    # C is written and dropped before clustering only when --out-c asks
+    # for it; the labels are the same either way
+    args = ["--synth", "3,2,50,8,0.0,7"]
+    alone, every = tmp_path / "alone", tmp_path / "every"
+    alone.mkdir()
+    every.mkdir()
+    assert main(args + ["--out-labels", str(alone / "labels.csv")]) == EXIT_OK
+    outputs = ("labels.csv", "w.pgm", "c.pgm", "conv.csv", "meta.txt")
+    flags = ("--out-labels", "--out-w", "--out-c", "--out-conv", "--out-meta")
+    pairs = [x for flag, name in zip(flags, outputs) for x in (flag, str(every / name))]
+    assert main(args + pairs) == EXIT_OK
+    assert (alone / "labels.csv").read_bytes() == (every / "labels.csv").read_bytes()
+
+
+def test_failed_coefficient_heatmap_exits_io_before_clustering(tmp_path, capsys):
+    # the C heatmap is written before clustering, as an export
+    labels = tmp_path / "labels.csv"
+    labels.write_bytes(b"OLD\n")
+    code = main(
+        [
+            "--synth", "3,2,50,8,0.0,7",
+            "--out-labels", str(labels),
+            "--out-c", str(tmp_path / "missing-dir" / "c.pgm"),
+        ]
+    )
+    assert code == EXIT_IO
+    assert capsys.readouterr().err.startswith("ssclust: export: ")
+    assert labels.read_bytes() == b"OLD\n"
+    assert [p.name for p in tmp_path.iterdir()] == ["labels.csv"]
+
+
 def test_metadata_reproduces_run(tmp_path):
     first = tmp_path / "first"
     first.mkdir()
