@@ -1,9 +1,13 @@
 """Command-line pipeline: ingest, optional sketching, solve, cluster, export.
 
 Stages run in a fixed order (ingest -> project -> solve -> spectral ->
-export), except that the --out-c heatmap is written as soon as the
-affinity is built, so that C is freed before clustering.  The argument
-parser is the only schema: config-file keys, their types and defaults,
+export), except that the heatmaps are written inside the spectral stage:
+the solve's one N x N buffer holds C, then the affinity W built in its
+place, then on a connected graph the Laplacian built in W's place, so the
+--out-c heatmap is written before the affinity and the --out-w heatmap
+before clustering.  N points whose N x N float array exceeds the
+machine's physical memory are refused at ingest, before any read.  The
+argument parser is the only schema: config-file keys, their types and defaults,
 and the lines of the run record all come from its flag declarations.
 Every run can drop a metadata file of reloadable key=value lines, so a
 finished run can be reproduced from its metadata alone (rho only when
@@ -204,17 +208,33 @@ def _check(args):
                 raise ConfigError(f"{key} would not replay from --out-meta: {value!a}")
 
 
+def _check_fits(n):
+    """Refuse N points whose N x N float array exceeds physical memory.
+
+    The run holds one such array from the solve to the labels, so a
+    larger N cannot finish.  Skipped where `os.sysconf` cannot tell.
+    """
+    try:
+        memory = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+    except (AttributeError, ValueError, OSError):
+        return
+    if n > 0 and n * n * 8 > memory:  # a negative count is the generator's to refuse
+        raise InputError("the input is too large for this machine")
+
+
 def _load_input(args):
     if args.frames is not None:
         paths = sorted(globlib.glob(args.frames))
         if not paths:
             raise InputError(f"no files match {args.frames!r}")
+        _check_fits(len(paths))
         # `frames` lives until the return: freed before the normalized copy
         # is made, it left that copy in the heap and the run's peak RSS 10 MB up
         frames = load_frames(paths)
         Y = frames_to_matrix(frames)
     else:
         K, d, D, n_per, sigma, seed = args.synth
+        _check_fits(K * n_per)
         Y = synth_union_of_subspaces(K, d, D, n_per, noise_sigma=sigma, seed=seed).Y
     # a bad shape is the input's fault, so it is reported here, not by the solve
     return check_data_matrix(normalize_columns(Y) if args.normalize else Y)
@@ -316,14 +336,20 @@ def main(argv=None):
                 f"r3={report.r_change:.3g})",
                 file=sys.stderr,
             )
-        stage = "spectral"
-        W = build_affinity(C)
+        # the solve's buffer goes on to hold W, then a connected graph's L:
+        # each heatmap is written before its matrix is overwritten
         if args.out_c is not None:
             stage = "export"
             pending.append(_PendingOutput(args.out_c, len(pending)))
             export_heatmap(C, pending[-1])
+        stage = "spectral"
+        W = build_affinity(C, overwrite=True)
+        del C  # its memory now holds W
+        if args.out_w is not None:
+            stage = "export"
+            pending.append(_PendingOutput(args.out_w, len(pending)))
+            export_heatmap(W, pending[-1])
             stage = "spectral"
-        del C  # so that clustering holds W and its Laplacian blocks alone
         k_max = args.k_max if args.k_max is not None else default_k_max(W.shape[0])
         result = cluster(
             W,
@@ -331,11 +357,11 @@ def main(argv=None):
             seed=args.spectral_seed,
             k_max=k_max,
             restarts=args.restarts,
+            overwrite=True,
         )
         stage = "export"
         for path, export, value in (
             (args.out_labels, export_labels, result.labels),
-            (args.out_w, export_heatmap, W),
             (args.out_conv, export_convergence, report.history),
         ):
             if path is not None:

@@ -197,7 +197,7 @@ def test_exit_io_removes_partial_outputs(tmp_path):
             "--max-iter", "200",
             "--tol-change", "1e-3",
             "--out-labels", str(labels),
-            "--out-w", str(tmp_path / "missing-dir" / "w.pgm"),
+            "--out-conv", str(tmp_path / "missing-dir" / "conv.csv"),
         ]
     )
     assert code == EXIT_IO
@@ -257,18 +257,23 @@ def test_full_run_determinism(tmp_path):
 
 
 def test_labels_do_not_depend_on_the_outputs_asked_for(tmp_path):
-    # C is written and dropped before clustering only when --out-c asks
-    # for it; the labels are the same either way
-    args = ["--synth", "3,2,50,8,0.0,7"]
-    alone, every = tmp_path / "alone", tmp_path / "every"
-    alone.mkdir()
-    every.mkdir()
-    assert main(args + ["--out-labels", str(alone / "labels.csv")]) == EXIT_OK
+    # the heatmaps are written before the solve's buffer is overwritten,
+    # with W and then, on the connected paper-scale input, with L; the
+    # labels are the same whichever outputs are asked for
     outputs = ("labels.csv", "w.pgm", "c.pgm", "conv.csv", "meta.txt")
     flags = ("--out-labels", "--out-w", "--out-c", "--out-conv", "--out-meta")
-    pairs = [x for flag, name in zip(flags, outputs) for x in (flag, str(every / name))]
-    assert main(args + pairs) == EXIT_OK
-    assert (alone / "labels.csv").read_bytes() == (every / "labels.csv").read_bytes()
+    for spec, components in (("3,2,50,8,0.0,7", 3), ("3,2,20736,8,0.0,7", 1)):
+        args = ["--synth", spec]
+        alone, every = tmp_path / spec / "alone", tmp_path / spec / "every"
+        alone.mkdir(parents=True)
+        every.mkdir()
+        assert main(args + ["--out-labels", str(alone / "labels.csv")]) == EXIT_OK
+        pairs = [x for f, name in zip(flags, outputs) for x in (f, str(every / name))]
+        assert main(args + pairs) == EXIT_OK
+        labels = (alone / "labels.csv").read_bytes()
+        assert labels == (every / "labels.csv").read_bytes()
+        record = (every / "meta.txt").read_text().splitlines()
+        assert f"# components={components}" in record
 
 
 def test_failed_coefficient_heatmap_exits_io_before_clustering(tmp_path, capsys):
@@ -280,6 +285,28 @@ def test_failed_coefficient_heatmap_exits_io_before_clustering(tmp_path, capsys)
             "--synth", "3,2,50,8,0.0,7",
             "--out-labels", str(labels),
             "--out-c", str(tmp_path / "missing-dir" / "c.pgm"),
+        ]
+    )
+    assert code == EXIT_IO
+    assert capsys.readouterr().err.startswith("ssclust: export: ")
+    assert labels.read_bytes() == b"OLD\n"
+    assert [p.name for p in tmp_path.iterdir()] == ["labels.csv"]
+
+
+def test_failed_affinity_heatmap_exits_io_before_clustering(tmp_path, monkeypatch, capsys):
+    # the W heatmap is written before clustering overwrites W, as an export
+    def no_clustering(*args, **kwargs):
+        raise AssertionError("cluster called")
+
+    monkeypatch.setattr(ssclust.cli, "cluster", no_clustering)
+    labels = tmp_path / "labels.csv"
+    labels.write_bytes(b"OLD\n")
+    code = main(
+        [
+            "--synth", "3,2,50,8,0.0,7",
+            "--out-labels", str(labels),
+            "--out-c", str(tmp_path / "c.pgm"),
+            "--out-w", str(tmp_path / "missing-dir" / "w.pgm"),
         ]
     )
     assert code == EXIT_IO
@@ -652,9 +679,10 @@ def test_every_record_replays(name):
         "3,2,1000000000000000000,8,0.0,7",  # too many bytes to describe
         "3,2,1000000000000000000000000000000,8,0.0,7",  # D past any dimension
         "3,2,50,1000000000000000000000000000000,0.0,7",
-        "1000000000000,1,2,1,0.0,0",  # more distinct lines than the plane holds
+        "1000000000000,1,2,1,0.0,0",  # N x N floats past physical memory
+        "100,1,2,1,0.0,0",  # more distinct lines than the plane holds
     ],
-    ids=["memory", "bytes", "rows", "columns", "unattainable"],
+    ids=["memory", "bytes", "rows", "columns", "points", "unattainable"],
 )
 def test_oversized_synth_exits_input(tmp_path, spec):
     out = tmp_path / "l.csv"
@@ -665,6 +693,18 @@ def test_oversized_synth_exits_input(tmp_path, spec):
     assert proc.stderr.count("\n") == 1
     assert "Traceback" not in proc.stderr
     assert list(tmp_path.iterdir()) == []
+
+
+def test_hopeless_point_count_exits_input_before_the_draw(monkeypatch, capsys):
+    # 10^6 points need an 8 TB N x N array: refused before the quadratic
+    # basis-pair check of the generator could start
+    def no_draw(*args, **kwargs):
+        raise AssertionError("synth_union_of_subspaces called")
+
+    monkeypatch.setattr(ssclust.cli, "synth_union_of_subspaces", no_draw)
+    assert main(["--synth", "1000000,1,1000,1,0.0,0"]) == EXIT_INPUT
+    err = capsys.readouterr().err
+    assert err == "ssclust: ingest: the input is too large for this machine\n"
 
 
 def test_memory_error_at_export_exits_input(tmp_path, monkeypatch, capsys):
@@ -751,8 +791,10 @@ def cli_cases(draw):
 @example(
     (["--synth=3,2,50,1000000000000000000000000000000,0.0,7", "--max-iter=5"], None, [])
 )
-# more distinct subspaces than fit: refused within 100 short attempts
+# N x N floats past physical memory: refused before the draw
 @example((["--synth=1000000000000,1,2,1,0.0,0", "--max-iter=5"], None, []))
+# more distinct subspaces than fit: refused within 100 short attempts
+@example((["--synth=100,1,2,1,0.0,0", "--max-iter=5"], None, []))
 # an output onto a directory: its move would fail after the labels' move
 @example((["--synth=3,2,20,2,0.0,7", "--max-iter=5", "--out-w=frames"], None, []))
 def test_cli_contract(case):
