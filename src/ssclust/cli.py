@@ -1,14 +1,12 @@
 """Command-line pipeline: ingest, optional sketching, solve, cluster, export.
 
 Stages run in a fixed order (ingest -> project -> solve -> spectral ->
-export), except that the heatmaps are written inside the spectral stage:
-the solve's one N x N buffer holds C, then the affinity W built in its
-place, then on a connected graph the Laplacian built in W's place, so the
---out-c heatmap is written before the affinity and the --out-w heatmap
-before clustering.  N points whose N x N float array exceeds the
-machine's physical memory are refused at ingest, before any read.  The
-argument parser is the only schema: config-file keys, their types and defaults,
-and the lines of the run record all come from its flag declarations.
+export), except that the --out-c heatmap is written before the affinity,
+since W is built in the solve's own N x N buffer.  N points whose N x N
+float array exceeds the machine's physical memory are refused at ingest,
+before any read.  The argument parser is the only schema: config-file
+keys, their types and defaults, and the lines of the run record all come
+from its flag declarations.
 Every run can drop a metadata file of reloadable key=value lines, so a
 finished run can be reproduced from its metadata alone (rho only when
 given: a balanced run records its final rho as a comment, so its replay
@@ -211,8 +209,8 @@ def _check(args):
 def _check_fits(n):
     """Refuse N points whose N x N float array exceeds physical memory.
 
-    The run holds one such array from the solve to the labels, so a
-    larger N cannot finish.  Skipped where `os.sysconf` cannot tell.
+    Every run holds at least one such array, so a larger N cannot
+    finish.  Skipped where `os.sysconf` cannot tell.
     """
     try:
         memory = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
@@ -336,20 +334,14 @@ def main(argv=None):
                 f"r3={report.r_change:.3g})",
                 file=sys.stderr,
             )
-        # the solve's buffer goes on to hold W, then a connected graph's L:
-        # each heatmap is written before its matrix is overwritten
+        # W is built in the solve's buffer, so the C heatmap is written first
         if args.out_c is not None:
             stage = "export"
             pending.append(_PendingOutput(args.out_c, len(pending)))
             export_heatmap(C, pending[-1])
         stage = "spectral"
-        W = build_affinity(C, overwrite=True)
+        W = build_affinity(C)
         del C  # its memory now holds W
-        if args.out_w is not None:
-            stage = "export"
-            pending.append(_PendingOutput(args.out_w, len(pending)))
-            export_heatmap(W, pending[-1])
-            stage = "spectral"
         k_max = args.k_max if args.k_max is not None else default_k_max(W.shape[0])
         result = cluster(
             W,
@@ -357,11 +349,11 @@ def main(argv=None):
             seed=args.spectral_seed,
             k_max=k_max,
             restarts=args.restarts,
-            overwrite=True,
         )
         stage = "export"
         for path, export, value in (
             (args.out_labels, export_labels, result.labels),
+            (args.out_w, export_heatmap, W),
             (args.out_conv, export_convergence, report.history),
         ):
             if path is not None:

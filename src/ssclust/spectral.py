@@ -18,10 +18,6 @@ the component count cannot follow the spectrum: the embedding then takes
 the null vectors of the blocks whose rounded zero eigenvalues sort first,
 where one dense eigh took whatever rotation of the null space LAPACK
 returned.  Either choice is arbitrary.
-
-With `overwrite`, `build_affinity` builds W in C's memory and `cluster`
-builds a connected graph's L in W's, so that one N x N array can carry a
-run from the solve to the eigendecomposition.
 """
 
 from dataclasses import dataclass
@@ -46,25 +42,23 @@ class SpectralResult:
     components: int  # connected components of the affinity graph
 
 
-def build_affinity(C, overwrite=False):
+def build_affinity(C):
     """Symmetric nonnegative affinity from a zero-diagonal coefficient matrix.
 
     Each column is scaled by the reciprocal of its max-abs entry (zero
-    columns pass through), then W = |C~| + |C~|^T.  The sum is taken in
-    place in |C~|, one strip of `tile_rows(N)` rows and the matching
-    columns at a time: W_ij = W_ji = |C~|_ij + |C~|_ji is the same IEEE
-    sum as |C~| + |C~|^T, so W is identical to it.  W is C-ordered
-    whatever C's layout, so its row sums, the Laplacian's degrees, round
-    the same for a C from `solve_ssc`, which is Fortran-ordered, as for a
-    copy of it.
-
-    By default |C~| is a new array, and the stage holds no N x N array
-    besides C and W.  With `overwrite`, W is built in C's own memory and
-    the stage holds no N x N array at all; C must then be a C- or
-    Fortran-contiguous float array, and is refused otherwise rather than
-    copied.  A Fortran-ordered C is the transposed view of the C-ordered
-    C^T: |C~|^T is formed in place there, its row peaks being C's column
-    peaks, and the strip sum of |C~|^T is W itself, since W = W^T.
+    columns pass through), then W = |C~| + |C~|^T.  W is built in C's own
+    memory, so C is lost and the call holds no N x N array besides it; a
+    caller that needs C afterwards passes a copy.  C must be a writable
+    float array, C- or Fortran-contiguous, and is refused otherwise rather
+    than copied.  A Fortran-ordered C, as `solve_ssc` returns, is the
+    transposed view of the C-ordered C^T: |C~|^T is formed there, its row
+    peaks being C's column peaks.  The sum is taken one strip of
+    `tile_rows(N)` rows and the matching columns at a time: W_ij = W_ji =
+    |C~|_ij + |C~|_ji is the same IEEE sum as |C~| + |C~|^T, and the strip
+    sum of |C~|^T is W itself, since W = W^T.  So W equals the whole-array
+    sum bit for bit, and is C-ordered whatever C's layout: its row sums,
+    the Laplacian's degrees, round the same for a C from `solve_ssc` as
+    for a C-ordered copy of it.
     """
     given = C
     C = np.asarray(C, dtype=float)
@@ -72,17 +66,18 @@ def build_affinity(C, overwrite=False):
         raise InputError(f"coefficient matrix must be square, got {C.shape}")
     if np.abs(np.diag(C)).max(initial=0.0) != 0.0:
         raise InputError("coefficient matrix must have zero diagonal")
-    n = C.shape[0]
-    if not overwrite:
-        scaled, axis = np.abs(C, out=np.empty((n, n))), 0
-    elif C is given and C.flags.c_contiguous:
-        scaled, axis = np.abs(C, out=C), 0
-    elif C is given and C.flags.f_contiguous:
-        scaled, axis = np.abs(C.T, out=C.T), 1
+    if C is not given or not C.flags.writeable:
+        raise InputError("W is built in C's memory: C must be a writable float array")
+    if C.flags.c_contiguous:
+        scaled, axis = C, 0
+    elif C.flags.f_contiguous:
+        scaled, axis = C.T, 1
     else:
-        raise InputError("an affinity built in place needs a contiguous float array")
+        raise InputError("W is built in C's memory: C must be contiguous")
+    np.abs(scaled, out=scaled)
     peaks = scaled.max(axis=axis, keepdims=True)
     scaled /= np.where(peaks > 0, peaks, 1.0)
+    n = C.shape[0]
     rows = tile_rows(n)
     for lo in range(0, n, rows):
         b = slice(lo, lo + rows)
@@ -104,7 +99,7 @@ def _check_affinity(W):
     return W
 
 
-def normalized_laplacian(W, deg=None, out=None):
+def normalized_laplacian(W, deg=None):
     """Symmetric normalized Laplacian I - D^{-1/2} W D^{-1/2} of symmetric W.
 
     Degree-zero vertices get an all-zero row and column (diagonal
@@ -117,22 +112,13 @@ def normalized_laplacian(W, deg=None, out=None):
     rows there hold nothing outside W, so the degrees have the same value,
     but summed over the full rows they round as they do for the larger
     affinity's own Laplacian, and the result equals its block bit for bit.
-
-    L is written into `out`, a new array when none is given, one strip of
-    `tile_rows(N)` rows at a time.  Each strip's entries are read from the
-    same rows of W before they are written, so `out` may be W itself:
-    W then becomes L, and the call holds no N x N array besides W.
     """
     W = _check_affinity(W)
     if deg is None:
         deg = W.sum(axis=1)
     inv_sqrt = np.where(deg > 0, 1.0 / np.sqrt(np.where(deg > 0, deg, 1.0)), 0.0)
-    n = W.shape[0]
-    L = np.empty((n, n)) if out is None else out
-    rows = tile_rows(n)
-    for lo in range(0, n, rows):
-        b = slice(lo, lo + rows)
-        np.multiply(np.outer(-inv_sqrt[b], inv_sqrt), W[b], out=L[b])
+    L = np.outer(-inv_sqrt, inv_sqrt)
+    L *= W
     np.fill_diagonal(L, np.where(deg > 0, 1.0, 0.0))
     return L
 
@@ -278,20 +264,17 @@ def _connected_components(W):
     return components
 
 
-def cluster(W, k_override=None, seed=0, k_max=None, restarts=10, overwrite=False):
+def cluster(W, k_override=None, seed=0, k_max=None, restarts=10):
     """Full spectral pipeline: Laplacian, eigengap, embedding, k-means.
 
-    The connected components of W's nonzero pattern and W's degrees are
-    found first, and L is eigendecomposed one component at a time.  A
-    connected W builds L whole and passes it uncopied; with `overwrite`,
-    L is built in W's own memory, so W is lost, and no N x N array
-    besides W is held until the eigendecomposition.  A split W builds each
-    component's block of L alone, from the degrees of W's full rows, so
-    each block equals the same rows and columns of the whole L bit for
-    bit, W is left as it was, and no N x N array besides W is held.  The
-    split is exact, because L has no entry between components: each
-    block's eigenpairs are eigenpairs of L once the eigenvectors are
-    extended by zeros.  The blocks' eigenvalues are
+    The connected components of W's nonzero pattern are found first, and
+    L is eigendecomposed one component at a time.  A connected W builds L
+    whole and passes it uncopied.  A split W builds each component's block
+    of L alone, from the degrees of W's full rows, so each block equals
+    the same rows and columns of the whole L bit for bit, and no N x N
+    array besides W is held.  The split is exact, because L has no entry
+    between components: each block's eigenpairs are eigenpairs of L once
+    the eigenvectors are extended by zeros.  The blocks' eigenvalues are
     stable-sorted into the ascending spectrum, and the embedding takes
     the eigenvectors of the k smallest, zero outside their blocks.  When
     k is below the number of components, more eigenvectors than k belong
@@ -313,8 +296,6 @@ def cluster(W, k_override=None, seed=0, k_max=None, restarts=10, overwrite=False
         Largest candidate cluster count; defaults to default_k_max(N).
     restarts : int
         Number of k-means restarts.
-    overwrite : bool
-        Build a connected W's Laplacian in W's memory.
 
     Returns
     -------
@@ -328,9 +309,7 @@ def cluster(W, k_override=None, seed=0, k_max=None, restarts=10, overwrite=False
     deg = W.sum(axis=1)
     spectra = [
         symmetric_eigendecomposition(
-            normalized_laplacian(W, deg, out=W if overwrite else None)
-            if len(components) == 1
-            else normalized_laplacian(W[np.ix_(c, c)], deg[c])
+            normalized_laplacian(W if len(components) == 1 else W[np.ix_(c, c)], deg[c])
         )
         for c in components
     ]

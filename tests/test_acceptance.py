@@ -131,7 +131,7 @@ def test_feasibility_at_convergence():
 
 def test_three_block_structure():
     data, C, _, _ = _reference_run()
-    W = build_affinity(C)
+    W = build_affinity(C.copy())  # the shared C stays for the other tests
     mass = oracles.block_mass_fraction(W, [8, 8, 8])
     result = cluster(W)
     agreement = compare_partitions(result.labels, data.labels)
@@ -170,7 +170,7 @@ def test_five_subspace_recovery():
 
 def test_projection_preserves_partition():
     data, C, _, _ = _reference_run()
-    base = cluster(build_affinity(C))
+    base = cluster(build_affinity(C.copy()))
     worst_distortion = 0.0
     worst_agreement = 1.0
     for m in (25, 50):
@@ -334,38 +334,34 @@ def test_stage_memory_budgets(tmp_path):
     # the bench's N = 1000 input at 50 iterations, whose affinity has ten
     # components; peaks in units of one N x N float array.  The solve holds
     # J^T = (A + U)^T and takes its default mu's Gram matrix a tile at a
-    # time; the affinity is summed in a new array, or in C's own memory as
-    # the command line builds it; the Laplacian is built one component at a
-    # time; the heatmaps are quantized a block of rows at a time.
+    # time; the C heatmap is written before the affinity is summed in C's
+    # own memory; the Laplacian is built one component at a time; the
+    # heatmaps are quantized a block of rows at a time.
     Y = synth_union_of_subspaces(10, 5, 200, 100, 0.0, 0).Y
     cfg = SolverConfig(max_iter=50, tol_primal=1e-300, tol_change=1e-300)
     unit = Y.shape[1] ** 2 * 8
     (C, _), solve = _traced_peak(solve_ssc, Y, cfg)
+    export_c = _traced_peak(export_heatmap, C, str(tmp_path / "c.pgm"))[1]
     W, affinity = _traced_peak(build_affinity, C)
+    assert np.shares_memory(W, C)
     result, spectral = _traced_peak(cluster, W)
     assert result.components == 10
-    export = max(
-        _traced_peak(export_heatmap, M, str(tmp_path / "m.pgm"))[1] for M in (C, W)
-    )
-    # last, since C becomes W
-    in_place, in_place_affinity = _traced_peak(lambda: build_affinity(C, overwrite=True))
-    assert np.shares_memory(in_place, C) and np.array_equal(in_place, W)
-    peaks = [solve, affinity, in_place_affinity, spectral, export]
+    export_w = _traced_peak(export_heatmap, W, str(tmp_path / "w.pgm"))[1]
+    peaks = [solve, affinity, spectral, max(export_c, export_w)]
     peaks = [peak / unit for peak in peaks]
-    bounds = (1.6, 1.1, 0.2, 0.5, 0.25)
-    ok = all(peak <= bound for peak, bound in zip(peaks, bounds))
+    ok = all(peak <= bound for peak, bound in zip(peaks, (1.6, 0.2, 0.5, 0.25)))
     _verdict(
         "stage-memory-budgets",
         ok,
-        "peaks / (N^2 * 8 B): solve {:.2f}, affinity {:.2f} (in place {:.2f}), "
-        "cluster {:.2f}, export {:.2f}".format(*peaks),
+        "peaks / (N^2 * 8 B): solve {:.2f}, affinity {:.2f}, cluster {:.2f}, "
+        "export {:.2f}".format(*peaks),
     )
 
 
 def test_run_memory_budget(tmp_path):
     # the whole run on the same input, every output asked for: C is written
-    # before W is built in its memory, so past the solve no stage holds more
-    # than that one N x N array and O(N) work
+    # before W is built in its memory, so no stage past the solve holds a
+    # second N x N array
     outputs = [
         "--out-labels", str(tmp_path / "labels.csv"),
         "--out-w", str(tmp_path / "w.pgm"),

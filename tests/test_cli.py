@@ -197,7 +197,7 @@ def test_exit_io_removes_partial_outputs(tmp_path):
             "--max-iter", "200",
             "--tol-change", "1e-3",
             "--out-labels", str(labels),
-            "--out-conv", str(tmp_path / "missing-dir" / "conv.csv"),
+            "--out-w", str(tmp_path / "missing-dir" / "w.pgm"),
         ]
     )
     assert code == EXIT_IO
@@ -257,9 +257,9 @@ def test_full_run_determinism(tmp_path):
 
 
 def test_labels_do_not_depend_on_the_outputs_asked_for(tmp_path):
-    # the heatmaps are written before the solve's buffer is overwritten,
-    # with W and then, on the connected paper-scale input, with L; the
-    # labels are the same whichever outputs are asked for
+    # the C heatmap is written before W is built in the solve's buffer, on
+    # a split and on the connected paper-scale input; the labels are the
+    # same whichever outputs are asked for
     outputs = ("labels.csv", "w.pgm", "c.pgm", "conv.csv", "meta.txt")
     flags = ("--out-labels", "--out-w", "--out-c", "--out-conv", "--out-meta")
     for spec, components in (("3,2,50,8,0.0,7", 3), ("3,2,20736,8,0.0,7", 1)):
@@ -285,28 +285,6 @@ def test_failed_coefficient_heatmap_exits_io_before_clustering(tmp_path, capsys)
             "--synth", "3,2,50,8,0.0,7",
             "--out-labels", str(labels),
             "--out-c", str(tmp_path / "missing-dir" / "c.pgm"),
-        ]
-    )
-    assert code == EXIT_IO
-    assert capsys.readouterr().err.startswith("ssclust: export: ")
-    assert labels.read_bytes() == b"OLD\n"
-    assert [p.name for p in tmp_path.iterdir()] == ["labels.csv"]
-
-
-def test_failed_affinity_heatmap_exits_io_before_clustering(tmp_path, monkeypatch, capsys):
-    # the W heatmap is written before clustering overwrites W, as an export
-    def no_clustering(*args, **kwargs):
-        raise AssertionError("cluster called")
-
-    monkeypatch.setattr(ssclust.cli, "cluster", no_clustering)
-    labels = tmp_path / "labels.csv"
-    labels.write_bytes(b"OLD\n")
-    code = main(
-        [
-            "--synth", "3,2,50,8,0.0,7",
-            "--out-labels", str(labels),
-            "--out-c", str(tmp_path / "c.pgm"),
-            "--out-w", str(tmp_path / "missing-dir" / "w.pgm"),
         ]
     )
     assert code == EXIT_IO

@@ -50,7 +50,7 @@ def test_build_affinity_properties():
         C = rng.normal(size=(n, n))
         C[np.abs(C) < 0.7] = 0.0  # sparsify so zero entries actually occur
         np.fill_diagonal(C, 0.0)
-        W = build_affinity(C)
+        W = build_affinity(C.copy())
         assert np.array_equal(W, W.T)
         assert W.min() >= 0.0
         assert np.max(np.abs(np.diag(W))) == 0.0
@@ -359,16 +359,14 @@ def test_cluster_permutation_equivariant():
 def test_cluster_holds_no_dense_eigendecomposition():
     # ten blocks of 100: L and the boolean adjacency, not an N x N eigh;
     # one block: L, then eigh's N x N output once the symmetry check's
-    # one temporary is gone; one block overwritten: L in W's memory, so
-    # eigh's output and the symmetry check's temporary alone
+    # one temporary is gone
     rng = np.random.default_rng(19)
-    cases = (([100] * 10, False, 1.5), ([1000], False, 2.2), ([1000], True, 1.2))
-    for sizes, overwrite, bound in cases:
+    for sizes, bound in (([100] * 10, 1.5), ([1000], 2.2)):
         W = ideal_block_affinity(sizes) * rng.uniform(0.5, 1.5, size=(1000, 1000))
         W = np.triu(W) + np.triu(W).T
         tracemalloc.start()
         try:
-            result = cluster(W, overwrite=overwrite)
+            result = cluster(W)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -432,7 +430,8 @@ def test_split_cluster_matches_blocks_of_the_whole_laplacian():
 def test_build_affinity_equals_the_symmetric_sum():
     # the in-place sum, strip by strip (300 points take three strips, the
     # last one shorter), against |C~| + |C~|^T on the whole array, bit for bit,
-    # for a C- and a Fortran-ordered C; W is C-ordered either way
+    # for a C- and a Fortran-ordered C; W takes C's memory and is C-ordered
+    # either way
     rng = np.random.default_rng(31)
     C = rng.normal(size=(300, 300)) * (rng.uniform(size=(300, 300)) < 0.2)
     np.fill_diagonal(C, 0.0)
@@ -442,65 +441,24 @@ def test_build_affinity_equals_the_symmetric_sum():
     peaks = scaled.max(axis=0)
     scaled /= np.where(peaks > 0, peaks, 1.0)
     want = scaled + scaled.T
-    for layout in (C, np.asfortranarray(C)):
+    for layout in (C.copy(), np.asfortranarray(C)):
         W = build_affinity(layout)
         assert W.flags.c_contiguous
-        assert np.array_equal(W, want)
-        # in place, W takes C's own memory, C-ordered whatever C's layout
-        given = layout.copy(order="K")
-        W = build_affinity(given, overwrite=True)
-        assert W.flags.c_contiguous
-        assert np.shares_memory(W, given)
+        assert np.shares_memory(W, layout)
         assert np.array_equal(W, want)
 
 
-def test_build_affinity_in_place_refuses_what_it_would_copy():
-    # a strided view or an integer array cannot hold W: refused, not copied
+def test_build_affinity_refuses_what_it_would_copy():
+    # a strided view, an integer or a read-only array cannot hold W:
+    # refused, not copied
     C = np.zeros((6, 6))
     C[0, 1] = C[1, 0] = 1.0
-    for bad in (C[::2, ::2], C.astype(int)):
+    frozen = C.copy()
+    frozen.flags.writeable = False
+    for bad in (C[::2, ::2], C.astype(int), frozen):
         with pytest.raises(InputError):
-            build_affinity(bad, overwrite=True)
-    assert np.array_equal(build_affinity(C[::2, ::2]), np.zeros((3, 3)))
-
-
-def connected_affinity(n, seed):
-    """Random symmetric zero-diagonal affinity with every entry off it positive."""
-    W = np.random.default_rng(seed).uniform(0.01, 1.0, size=(n, n))
-    W = np.triu(W, 1)
-    return W + W.T
-
-
-def test_laplacian_in_place_equals_a_new_one():
-    # 300 points take three strips, the last one shorter; the degrees of
-    # W are taken before L overwrites it; both equal the whole-array
-    # product (-s s^T) * W with its diagonal set, bit for bit
-    W = connected_affinity(300, 37)
-    assert 300 % tile_rows(300) != 0 and 300 // tile_rows(300) >= 2
-    deg = W.sum(axis=1)
-    s = 1.0 / np.sqrt(deg)
-    whole = np.outer(-s, s) * W
-    np.fill_diagonal(whole, 1.0)
-    want = normalized_laplacian(W.copy(), deg)
-    assert np.array_equal(want, whole)
-    L = normalized_laplacian(W, deg, out=W)
-    assert L is W
-    assert np.array_equal(L, want)
-
-
-def test_cluster_in_place_equals_cluster_on_a_copy():
-    # a connected W becomes its Laplacian; a split W keeps its values,
-    # since each block is a copy
-    split = ideal_block_affinity([90, 80, 70]) * connected_affinity(240, 41)
-    for W, overwritten in ((connected_affinity(300, 43), True), (split, False)):
-        before = W.copy()
-        want = cluster(W.copy())
-        got = cluster(W, overwrite=True)
-        assert np.array_equal(got.eigenvalues, want.eigenvalues)
-        assert got.estimated_k == want.estimated_k
-        assert got.components == want.components
-        assert np.array_equal(got.labels, want.labels)
-        assert np.array_equal(W, before) != overwritten
+            build_affinity(bad)
+    assert C[0, 1] == 1.0
 
 
 def test_zero_eigenvalues_count_components_up_to_30():
