@@ -379,9 +379,15 @@ def residual_report(U, U_prev, C, C_prev, work=None, norms=False):
 
 
 def objective_value(Y, C, mu):
-    """Evaluate ||C||_1 + (mu/2) ||Y - Y C||_F^2."""
+    """Evaluate ||C||_1 + (mu/2) ||Y - Y C||_F^2.
+
+    ||C||_1 is summed one strip of `tile_rows(N)` columns at a time, so no
+    N x N temporary is made; the residual holds D x N arrays only.
+    """
+    rows = tile_rows(C.shape[1])
+    l1 = sum(np.abs(C[:, lo : lo + rows]).sum() for lo in range(0, C.shape[1], rows))
     resid = Y - Y @ C
-    return float(np.abs(C).sum() + 0.5 * mu * np.sum(resid * resid))
+    return float(l1 + 0.5 * mu * np.sum(resid * resid))
 
 
 def solve_ssc(Y, cfg=None):

@@ -5,8 +5,8 @@ export), except that the --out-c heatmap is written before the affinity,
 since W is built in the solve's own N x N buffer.  N points whose N x N
 float array exceeds the machine's physical memory are refused at ingest,
 before any read.  The argument parser is the only schema: config-file
-keys, their types and defaults, and the lines of the run record all come
-from its flag declarations.
+keys, their types, bounds and defaults, and the lines of the run record
+all come from its flag declarations.
 Every run can drop a metadata file of reloadable key=value lines, so a
 finished run can be reproduced from its metadata alone (rho only when
 given: a balanced run records its final rho as a comment, so its replay
@@ -62,17 +62,33 @@ def _field_parser(flag, names, *types):
     return parse
 
 
+def _at_least(low, name):
+    def parse(text):
+        """An int of at least `low`; a bound error names `name`."""
+        value = int(text)
+        if value < low:
+            raise ConfigError(f"{name} must be >= {low}, got {value}")
+        return value
+
+    parse.__name__ = "int"  # argparse names the type in its usage error
+    return parse
+
+
 parse_synth_spec = _field_parser(
-    "--synth", "K,d,D,n_per,sigma,seed", int, int, int, int, float, int
+    "--synth", "K,d,D,n_per,sigma,seed", *[int] * 4, float, _at_least(0, "synth seed")
 )
-parse_project_spec = _field_parser("--project", "m,seed", int, int)
+parse_project_spec = _field_parser(
+    "--project", "m,seed", _at_least(1, "projection m"), _at_least(0, "projection seed")
+)
 
 
 def build_parser():
     """The flags, each declaring its type and default once.
 
-    The spec types raise ConfigError, which argparse lets through, so a
-    malformed spec exits with the configuration code and not a usage error.
+    The spec types and the bounded ints (`_at_least`) raise ConfigError,
+    which argparse lets through, so a malformed spec or a value below its
+    flag's bound exits with the configuration code and not a usage error.
+    A value `int` cannot read is still argparse's usage error.
     """
     parser = argparse.ArgumentParser(
         prog="ssclust",
@@ -104,10 +120,10 @@ def build_parser():
     sol.add_argument("--tol-primal", type=float, default=SolverConfig.tol_primal)
     sol.add_argument("--tol-change", type=float, default=SolverConfig.tol_change)
     spc = parser.add_argument_group("spectral")
-    spc.add_argument("--k", type=int, help="fixed cluster count")
-    spc.add_argument("--k-max", type=int)
-    spc.add_argument("--spectral-seed", type=int, default=0)
-    spc.add_argument("--restarts", type=int, default=10)
+    spc.add_argument("--k", type=_at_least(1, "k"), help="fixed cluster count")
+    spc.add_argument("--k-max", type=_at_least(1, "k_max"))
+    spc.add_argument("--spectral-seed", type=_at_least(0, "spectral_seed"), default=0)
+    spc.add_argument("--restarts", type=_at_least(1, "restarts"), default=10)
     out = parser.add_argument_group("outputs")
     out.add_argument("--out-labels", metavar="CSV")
     out.add_argument("--out-w", metavar="PGM")
@@ -168,23 +184,14 @@ def load_config_file(path):
 
 
 def _check(args):
-    """Reject values the flag types accept but the pipeline cannot run."""
+    """Reject what no single flag's type can see: the rules that span flags.
+
+    Exactly one input source; no two outputs on one file and none on a
+    directory; with --out-meta, no value the record could not replay.
+    Each flag's own bound is checked by its type as it is read.
+    """
     if (args.frames is None) == (args.synth is None):
         raise ConfigError("exactly one input source required: --frames or --synth")
-    if args.project is not None and args.project[0] < 1:
-        raise ConfigError(f"projection m must be >= 1, got {args.project[0]}")
-    for key in ("k", "k_max", "restarts"):
-        value = getattr(args, key)
-        if value is not None and value < 1:
-            raise ConfigError(f"{key} must be >= 1, got {value}")
-    seeds = {
-        "synth seed": args.synth and args.synth[5],
-        "projection seed": args.project and args.project[1],
-        "spectral_seed": args.spectral_seed,
-    }
-    for key, value in seeds.items():
-        if value is not None and value < 0:
-            raise ConfigError(f"{key} must be >= 0, got {value}")
     seen = {}  # two outputs on one file: the later move would lose the first
     for key, path in vars(args).items():
         if key.startswith("out_") and path is not None:

@@ -121,12 +121,10 @@ def jl_distortion(Y, Y_proj):
     proj = column_distances(Y_proj)
     nz = orig > 0
     skipped = int(np.count_nonzero(~nz))
-    ratios = proj[nz] / orig[nz]
-    if ratios.size == 0:
-        return DistortionReport(0.0, 0.0, pair_count=orig.size, skipped_pairs=skipped)
+    ratios = proj[nz] / orig[nz]  # empty when every pair is a duplicate
     return DistortionReport(
-        max_expansion=max(float(ratios.max()) - 1.0, 0.0),
-        max_contraction=max(1.0 - float(ratios.min()), 0.0),
+        max_expansion=max(float(ratios.max(initial=1.0)) - 1.0, 0.0),
+        max_contraction=max(1.0 - float(ratios.min(initial=1.0)), 0.0),
         pair_count=orig.size,
         skipped_pairs=skipped,
     )

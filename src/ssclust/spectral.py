@@ -15,9 +15,7 @@ subspace-preserving C gives one component per subspace, so the work falls
 from one N x N eigh to one per subspace; a connected graph is the case of
 one block.  Each component contributes one zero eigenvalue, so a k below
 the component count cannot follow the spectrum: the embedding then takes
-the null vectors of the blocks whose rounded zero eigenvalues sort first,
-where one dense eigh took whatever rotation of the null space LAPACK
-returned.  Either choice is arbitrary.
+the null vectors of the blocks whose rounded zero eigenvalues sort first.
 """
 
 from dataclasses import dataclass
@@ -280,9 +278,7 @@ def cluster(W, k_override=None, seed=0, k_max=None, restarts=10):
     k is below the number of components, more eigenvectors than k belong
     to the zero eigenvalue: the embedding takes those of the blocks whose
     rounded zero eigenvalues sort first (exact ties in component order),
-    and the points of the other components sit at the origin.  A dense
-    eigh returned instead some rotation of the null space, chosen by
-    LAPACK.
+    and the points of the other components sit at the origin.
 
     Parameters
     ----------

@@ -2,6 +2,7 @@
 convergence behavior, determinism, and error paths."""
 
 import dataclasses
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -590,6 +591,26 @@ def test_objective_value_direct():
     resid = Y - Y @ C
     want = 1.0 + 2.0 / 2.0 * np.sum(resid * resid)
     assert objective_value(Y, C, 2.0) == pytest.approx(want)
+
+
+def test_objective_value_makes_no_square_temporary():
+    # the bench's N = 1000 solve after 50 iterations, as the solve returns
+    # C (Fortran-ordered) and C-ordered: ||C||_1 is summed a strip at a
+    # time, so the peak is the D x N residual's, not a copy of C
+    Y = synth_union_of_subspaces(10, 5, 200, 100, 0.0, 0).Y
+    cfg = SolverConfig(max_iter=50, tol_primal=1e-300, tol_change=1e-300)
+    C, report = solve_ssc(Y, cfg)
+    for layout in (C, np.ascontiguousarray(C)):
+        tracemalloc.start()
+        try:
+            got = objective_value(Y, layout, report.mu)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 0.5 * layout.nbytes
+        resid = Y - Y @ layout
+        want = np.abs(layout).sum() + 0.5 * report.mu * np.sum(resid * resid)
+        assert abs(got - want) <= 1e-12 * want
 
 
 def test_augmented_lagrangian_decreases_along_a_update():

@@ -48,14 +48,18 @@ def read_labels(path):
 def test_parse_synth_spec():
     assert parse_synth_spec("3,2,50,8,0.0,7") == (3, 2, 50, 8, 0.0, 7)
     assert parse_synth_spec(" 1, 4, 50, 30, 0.5, 0 ") == (1, 4, 50, 30, 0.5, 0)
-    for bad in ("3,2,50,8,0.0", "3,2,50,8,0.0,7,9", "a,2,50,8,0.0,7", "3,2,50,8,x,7"):
+    bad_specs = (
+        "3,2,50,8,0.0", "3,2,50,8,0.0,7,9", "a,2,50,8,0.0,7", "3,2,50,8,x,7",
+        "3,2,50,8,0.0,-1",
+    )
+    for bad in bad_specs:
         with pytest.raises(ConfigError):
             parse_synth_spec(bad)
 
 
 def test_parse_project_spec():
     assert parse_project_spec("25,0") == (25, 0)
-    for bad in ("25", "25,0,1", "m,0", "25,s"):
+    for bad in ("25", "25,0,1", "m,0", "25,s", "0,0"):
         with pytest.raises(ConfigError):
             parse_project_spec(bad)
 
@@ -506,6 +510,61 @@ def test_negative_seed_exits_config(tmp_path, args):
     assert proc.returncode == EXIT_CONFIG
     assert proc.stderr.startswith("ssclust: config: ")
     assert "Traceback" not in proc.stderr
+
+
+BOUNDS = [
+    ("--restarts", "0", "restarts must be >= 1, got 0"),
+    ("--k-max", "0", "k_max must be >= 1, got 0"),
+    ("--k", "0", "k must be >= 1, got 0"),
+    ("--spectral-seed", "-1", "spectral_seed must be >= 0, got -1"),
+    ("--project", "0,0", "projection m must be >= 1, got 0"),
+    ("--project", "5,-1", "projection seed must be >= 0, got -1"),
+    ("--synth", "3,2,50,8,0.0,-1", "synth seed must be >= 0, got -1"),
+]
+
+
+@pytest.mark.parametrize("given", ["flag", "config"])
+@pytest.mark.parametrize(
+    "flag, value, message", BOUNDS, ids=[f"{f[2:]}={v}" for f, v, _ in BOUNDS]
+)
+def test_value_below_its_bound_exits_config_before_ingest(
+    tmp_path, monkeypatch, capsys, given, flag, value, message
+):
+    # each bound is checked by its flag's type, so a config line is
+    # checked as it is read, with the message the flag gives
+    def no_ingest(args):
+        raise AssertionError("_load_input called")
+
+    monkeypatch.setattr(ssclust.cli, "_load_input", no_ingest)
+    argv = [] if flag == "--synth" else ["--synth", "3,2,50,8,0.0,7"]
+    if given == "flag":
+        argv += [flag, value]
+    else:
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(f"{flag[2:]}={value}\n")
+        argv += ["--config", str(cfg)]
+    assert main(argv) == EXIT_CONFIG
+    assert capsys.readouterr().err == f"ssclust: config: {message}\n"
+
+
+def test_config_line_below_its_bound_exits_config_under_a_flag(tmp_path, capsys):
+    # the config file is read whole, each line as its flag would read it,
+    # so a line out of range is refused even where a flag overrides it
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("restarts=0\n")
+    argv = ["--synth", "3,2,50,8,0.0,7", "--restarts", "3", "--config", str(cfg)]
+    assert main(argv) == EXIT_CONFIG
+    assert capsys.readouterr().err == "ssclust: config: restarts must be >= 1, got 0\n"
+
+
+def test_bounded_flag_that_is_not_an_int_is_a_usage_error(capsys):
+    # argparse names the flag's type, as it does for a plain int flag, and
+    # exits with its own usage code
+    with pytest.raises(SystemExit) as exit_info:
+        main(["--synth", "3,2,50,8,0.0,7", "--k", "abc"])
+    assert exit_info.value.code == 2
+    err = capsys.readouterr().err
+    assert err.endswith("ssclust: error: argument --k: invalid int value: 'abc'\n")
 
 
 def test_non_ascii_record_value_exits_config(tmp_path):

@@ -166,6 +166,15 @@ def test_column_distances_match_pdist(D, N):
     assert np.count_nonzero(got == 0) == (2 if N > 3 else 1)
 
 
+def test_jl_distortion_all_duplicate_columns():
+    # no pair has a distance to compare: nothing expands or contracts
+    Y = np.ones((3, 4))
+    rep = jl_distortion(Y, np.ones((2, 4)))
+    assert (rep.max_expansion, rep.max_contraction) == (0.0, 0.0)
+    assert rep.pair_count == 6
+    assert rep.skipped_pairs == 6
+
+
 def test_jl_distortion_input_errors():
     Y = np.ones((3, 4))
     with pytest.raises(InputError):
