@@ -38,7 +38,7 @@ clip(J) off the diagonal and J_ii on it, where C+ is zero.  `update_c`
 takes this split of J into (U, C+).  And since A^T = S^T - E^T L^T with
 S = C - U, the next J^T is A^T + U^T = C^T - E^T L^T: neither A nor S is
 kept.
-Each tile of max(1, TILE_ELEMENTS // N) consecutive rows of J^T takes
+Each tile of consecutive rows of J^T, as `tiles(N, N)` cuts them, takes
 every step while its rows are still in cache.  For the rows b of a tile:
 
     (U^T_b, C^T_b) = split of J^T_b                       (update_c)
@@ -102,9 +102,15 @@ BALANCE_FACTOR = 2.0
 TILE_ELEMENTS = 2**15
 
 
-def tile_rows(n):
-    """Rows per tile of the elementwise pass over an N x N array."""
-    return max(1, TILE_ELEMENTS // max(n, 1))
+def tiles(count, width):
+    """The row slices of a pass over `count` rows of `width` elements each.
+
+    Each slice holds max(1, TILE_ELEMENTS // width) consecutive rows, the
+    last one fewer when that does not divide `count`; every stop is
+    clipped to `count`, so a slice b holds b.stop - b.start rows.
+    """
+    rows = max(1, TILE_ELEMENTS // max(width, 1))
+    return [slice(lo, min(lo + rows, count)) for lo in range(0, count, rows)]
 
 
 def check_data_matrix(Y):
@@ -265,16 +271,15 @@ class FactorizationCache:
 def _default_mu(Y):
     """DEFAULT_MU_SCALE / max_{i != j} |y_i^T y_j|, the default data weight.
 
-    The Gram matrix Y^T Y is taken one tile of `tile_rows(N)` rows at a
+    The Gram matrix Y^T Y is taken one tile of `tiles(N, N)` rows at a
     time, so no N x N array is formed; its entries are the same dot
     products, so mu is too.
     """
     n = Y.shape[1]
-    rows = tile_rows(n)
     peaks = []
-    for lo in range(0, n, rows):
-        gram = Y[:, lo : lo + rows].T @ Y
-        gram.flat[lo :: n + 1] = 0.0  # the entries (i, lo + i)
+    for b in tiles(n, n):
+        gram = Y[:, b].T @ Y
+        gram.flat[b.start :: n + 1] = 0.0  # the entries (i, b.start + i)
         peaks.append(_max_abs(gram))
     coh = float(np.max(peaks))  # keeps a NaN, as one whole-Gram maximum does
     if coh <= 0.0:
@@ -381,11 +386,11 @@ def residual_report(U, U_prev, C, C_prev, work=None, norms=False):
 def objective_value(Y, C, mu):
     """Evaluate ||C||_1 + (mu/2) ||Y - Y C||_F^2.
 
-    ||C||_1 is summed one strip of `tile_rows(N)` columns at a time, so no
-    N x N temporary is made; the residual holds D x N arrays only.
+    ||C||_1 is summed one strip of C's columns at a time, as `tiles` cuts
+    them, so no N x N temporary is made; the residual holds D x N arrays
+    only.
     """
-    rows = tile_rows(C.shape[1])
-    l1 = sum(np.abs(C[:, lo : lo + rows]).sum() for lo in range(0, C.shape[1], rows))
+    l1 = sum(np.abs(C[:, b]).sum() for b in tiles(C.shape[1], C.shape[0]))
     resid = Y - Y @ C
     return float(l1 + 0.5 * mu * np.sum(resid * resid))
 
@@ -416,13 +421,13 @@ def solve_ssc(Y, cfg=None):
     if cfg is None:
         cfg = SolverConfig()
     n = Y.shape[1]
-    rows = tile_rows(n)
+    blocks = tiles(n, n)
 
     # the loop's one N x N array J^T = (A + U)^T and its tiles, written in
     # place: the split of a tile's J^T into U and C, S, and the split of
     # the next J^T
     Jt = np.zeros((n, n))
-    u_tile, c_tile, s_tile, next_tile = (np.empty((min(rows, n), n)) for _ in range(4))
+    u_tile, c_tile, s_tile, next_tile = (np.empty((blocks[0].stop, n)) for _ in range(4))
     u, affine = np.zeros(n), np.empty(n)
     history = []
     converged = False
@@ -434,7 +439,7 @@ def solve_ssc(Y, cfg=None):
         rho = float(cfg.rho) if cfg.rho is not None else mu
         cache = FactorizationCache(Y, mu, rho)
         # per tile: max |U - U_prev|, max |C - C_prev|, and their squared norms
-        tile_residuals = np.empty((-(-n // rows), 4))
+        tile_residuals = np.empty((len(blocks), 4))
         for iteration in range(1, cfg.max_iter + 1):
             balance = (
                 cfg.rho is None
@@ -442,18 +447,18 @@ def solve_ssc(Y, cfg=None):
                 and iteration <= BALANCE_UNTIL
             )
             width = 4 if balance else 2
-            for k, lo in enumerate(range(0, n, rows)):
-                b, h = slice(lo, lo + rows), min(rows, n - lo)
+            for k, b in enumerate(blocks):
+                h = b.stop - b.start
                 Ut_b, Ct_b = update_c(
-                    Jt[b], rho, out=c_tile[:h], work=u_tile[:h], lo=lo
+                    Jt[b], rho, out=c_tile[:h], work=u_tile[:h], lo=b.start
                 )
                 St_b = np.subtract(Ct_b, Ut_b, out=s_tile[:h])
-                Et_b = cache.thin_product(St_b, u[b], lo)
+                Et_b = cache.thin_product(St_b, u[b], b.start)
                 affine[b] = cache.affine_residual(Et_b, u[b])
                 update_a(Ct_b, Et_b, cache.Lt, out=Jt[b])
                 # S^T_b is spent: its buffer takes the next U, then the differences
                 U_next, C_next = update_c(
-                    Jt[b], rho, out=next_tile[:h], work=s_tile[:h], lo=lo
+                    Jt[b], rho, out=next_tile[:h], work=s_tile[:h], lo=b.start
                 )
                 tile_residuals[k, :width] = residual_report(
                     U_next, Ut_b, C_next, Ct_b, work=U_next, norms=balance
@@ -478,18 +483,17 @@ def solve_ssc(Y, cfg=None):
                     cache.set_rho(rho * t)
                     # J = C + U / t: its split at the new rho is U / t and C,
                     # the latter up to one ulp of the new J
-                    for lo in range(0, n, rows):
-                        b, h = slice(lo, lo + rows), min(rows, n - lo)
+                    for b in blocks:
+                        h = b.stop - b.start
                         Ut_b, Ct_b = update_c(
-                            Jt[b], rho, out=c_tile[:h], work=u_tile[:h], lo=lo
+                            Jt[b], rho, out=c_tile[:h], work=u_tile[:h], lo=b.start
                         )
                         np.add(Ct_b, np.divide(Ut_b, t, out=Ut_b), out=Jt[b])
                     rho *= t
                     u /= t
                     rho_changes += 1
-        for lo in range(0, n, rows):
-            b, h = slice(lo, lo + rows), min(rows, n - lo)
-            update_c(Jt[b], rho, out=Jt[b], work=u_tile[:h], lo=lo)
+        for b in blocks:
+            update_c(Jt[b], rho, out=Jt[b], work=u_tile[: b.stop - b.start], lo=b.start)
 
     report = SolveReport(
         converged=converged,

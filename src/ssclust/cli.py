@@ -37,7 +37,7 @@ from .data import (
     normalize_columns,
     synth_union_of_subspaces,
 )
-from .errors import ConfigError, DivergenceError, InputError
+from .errors import ConfigError, DivergenceError, InputError, SsclustError
 from .projection import gaussian_matrix, project
 from .spectral import AFFINITY_FORMULA, build_affinity, cluster, default_k_max
 
@@ -279,7 +279,7 @@ class _PendingOutput(os.PathLike):
         self.path = self.target
 
 
-def _write_metadata(path, effective, report, result):
+def _write_metadata(effective, report, result, path):
     lines = [
         "# run record; reloadable with --config",
         f"# version={__version__}",
@@ -312,6 +312,13 @@ def main(argv=None):
     """
     parser = build_parser()
     pending = []
+
+    def write(path, export, *values):
+        """Stage export(*values, <temporary file>) when `path` is given."""
+        if path is not None:
+            pending.append(_PendingOutput(path, len(pending)))
+            export(*values, pending[-1])
+
     stage = "config"
     try:
         args = parser.parse_args(argv)
@@ -342,10 +349,8 @@ def main(argv=None):
                 file=sys.stderr,
             )
         # W is built in the solve's buffer, so the C heatmap is written first
-        if args.out_c is not None:
-            stage = "export"
-            pending.append(_PendingOutput(args.out_c, len(pending)))
-            export_heatmap(C, pending[-1])
+        stage = "export"
+        write(args.out_c, export_heatmap, C)
         stage = "spectral"
         W = build_affinity(C)
         del C  # its memory now holds W
@@ -358,23 +363,16 @@ def main(argv=None):
             restarts=args.restarts,
         )
         stage = "export"
-        for path, export, value in (
-            (args.out_labels, export_labels, result.labels),
-            (args.out_w, export_heatmap, W),
-            (args.out_conv, export_convergence, report.history),
-        ):
-            if path is not None:
-                pending.append(_PendingOutput(path, len(pending)))
-                export(value, pending[-1])
-        if args.out_meta is not None:
-            pending.append(_PendingOutput(args.out_meta, len(pending)))
-            # rho is recorded only when given, so a replay balances it again
-            effective = dict(vars(args), mu=report.mu, k_max=k_max)
-            _write_metadata(pending[-1], effective, report, result)
+        write(args.out_labels, export_labels, result.labels)
+        write(args.out_w, export_heatmap, W)
+        write(args.out_conv, export_convergence, report.history)
+        # rho is recorded only when given, so a replay balances it again
+        effective = dict(vars(args), mu=report.mu, k_max=k_max)
+        write(args.out_meta, _write_metadata, effective, report, result)
         while pending:  # a committed output leaves the list: never removed below
             pending[0].commit()
             del pending[0]
-    except (ConfigError, DivergenceError, InputError, OSError, MemoryError) as exc:
+    except (SsclustError, OSError, MemoryError) as exc:
         if isinstance(exc, MemoryError):
             exc = InputError("the input is too large for this machine")
         print(f"ssclust: {stage}: {exc}", file=sys.stderr)

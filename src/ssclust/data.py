@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .admm import tile_rows
+from .admm import tiles
 from .errors import FormatError, InputError
 
 MAX_BASIS_RETRIES = 100
@@ -204,20 +204,22 @@ def synth_union_of_subspaces(K, d, D, n_per, noise_sigma=0.0, seed=0):
 def export_heatmap(M, path):
     """Write |M| as a P5 PGM magnitude map, brightest = largest entry.
 
-    The peak is taken first, and a NaN or infinite one refuses M before
-    the file is opened.  The pixels are then quantized and written one
-    block of `tile_rows` rows at a time, so no array of M's size is made.
+    An M that is not 2-d or has no entries is refused before the file is
+    opened, and so is one whose peak, taken first, is NaN or infinite.
+    The pixels are then quantized and written one block of rows at a
+    time, as `tiles(*M.shape)` cuts them, so no array of M's size is made.
     """
     M = np.asarray(M, dtype=float)
+    if M.ndim != 2 or M.size == 0:
+        raise InputError(f"heatmap needs a non-empty 2-d array, got shape {M.shape}")
     peak = max(M.max(), -M.min())  # NaN when M holds a NaN
     if not np.isfinite(peak):
         raise InputError("heatmap input contains non-finite entries")
     header = f"P5\n{M.shape[1]} {M.shape[0]}\n255\n".encode("ascii")
-    rows = tile_rows(M.shape[1])
     with open(path, "wb") as fh:
         fh.write(header)
-        for lo in range(0, M.shape[0], rows):
-            mags = np.abs(M[lo : lo + rows])
+        for b in tiles(*M.shape):
+            mags = np.abs(M[b])
             if peak > 0:  # else every magnitude is 0 already
                 mags = np.rint(255.0 * mags / peak)
             fh.write(mags.astype(np.uint8).tobytes())

@@ -109,11 +109,9 @@ def jl_distortion(Y, Y_proj):
     """Compare pairwise column distances before and after projection."""
     Y = np.asarray(Y, dtype=float)
     Y_proj = np.asarray(Y_proj, dtype=float)
+    if Y.ndim != 2 or Y_proj.ndim != 2 or Y_proj.shape[1] != Y.shape[1]:
+        raise InputError(f"need 2-d arrays of one width, got {Y.shape}, {Y_proj.shape}")
     n = Y.shape[1]
-    if Y_proj.shape[1] != n:
-        raise InputError(
-            f"column counts differ: {n} vs {Y_proj.shape[1]}"
-        )
     if n < 2:
         raise InputError("need at least two columns")
 

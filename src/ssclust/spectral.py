@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .admm import tile_rows
+from .admm import tiles
 from .errors import InputError
 
 AFFINITY_FORMULA = "colmax-abs-symmetrize"
@@ -51,7 +51,7 @@ def build_affinity(C):
     than copied.  A Fortran-ordered C, as `solve_ssc` returns, is the
     transposed view of the C-ordered C^T: |C~|^T is formed there, its row
     peaks being C's column peaks.  The sum is taken one strip of
-    `tile_rows(N)` rows and the matching columns at a time: W_ij = W_ji =
+    `tiles(N, N)` rows and the matching columns at a time: W_ij = W_ji =
     |C~|_ij + |C~|_ji is the same IEEE sum as |C~| + |C~|^T, and the strip
     sum of |C~|^T is W itself, since W = W^T.  So W equals the whole-array
     sum bit for bit, and is C-ordered whatever C's layout: its row sums,
@@ -76,12 +76,10 @@ def build_affinity(C):
     peaks = scaled.max(axis=axis, keepdims=True)
     scaled /= np.where(peaks > 0, peaks, 1.0)
     n = C.shape[0]
-    rows = tile_rows(n)
-    for lo in range(0, n, rows):
-        b = slice(lo, lo + rows)
-        strip = scaled[b, lo:] + scaled[lo:, b].T
-        scaled[b, lo:] = strip
-        scaled[lo:, b] = strip.T
+    for b in tiles(n, n):
+        strip = scaled[b, b.start :] + scaled[b.start :, b].T
+        scaled[b, b.start :] = strip
+        scaled[b.start :, b] = strip.T
     return scaled
 
 

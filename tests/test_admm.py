@@ -22,7 +22,7 @@ from ssclust.admm import (
     FactorizationCache,
     check_data_matrix,
     residual_report,
-    tile_rows,
+    tiles,
     update_a,
     update_c,
     update_multipliers,
@@ -83,10 +83,33 @@ def test_default_mu_scaling():
     # N = 300 takes the Gram matrix in three tiles, the last one short:
     # mu is the whole Gram matrix's, bit for bit
     Y = np.random.default_rng(48).normal(size=(7, 300))
-    assert 300 % tile_rows(300) != 0 and tile_rows(300) < 150
+    cuts = tiles(300, 300)
+    assert len(cuts) >= 3 and cuts[-1].stop - cuts[-1].start < cuts[0].stop
     gram = Y.T @ Y
     np.fill_diagonal(gram, 0.0)
     assert default_mu(Y) == 800.0 / np.abs(gram).max()
+
+
+@pytest.mark.parametrize(
+    "count, width",
+    [(0, 5), (1, 1), (60, 60), (200, 200), (300, 300), (4, 3), (5, 2**15 + 1)],
+)
+def test_tiles_cover_every_row_once_in_order(count, width):
+    # tiles of max(1, TILE_ELEMENTS // width) rows, only the last one shorter
+    rows = max(1, admm.TILE_ELEMENTS // width)
+    cuts = tiles(count, width)
+    assert [i for b in cuts for i in range(count)[b]] == list(range(count))
+    heights = [b.stop - b.start for b in cuts]
+    assert all(h == rows for h in heights[:-1])
+    assert all(0 < h <= rows for h in heights[-1:])
+
+
+def test_tiles_edge_cases_and_the_tile_size_read_at_call_time(monkeypatch):
+    assert tiles(0, 5) == []
+    # a row wider than a tile still takes one row per tile
+    assert tiles(3, admm.TILE_ELEMENTS + 1) == [slice(0, 1), slice(1, 2), slice(2, 3)]
+    monkeypatch.setattr(admm, "TILE_ELEMENTS", 3 * 8)
+    assert tiles(8, 8) == [slice(0, 3), slice(3, 6), slice(6, 8)]
 
 
 def _a_update(C, U, u, cache):
@@ -468,7 +491,7 @@ def test_solve_ssc_matches_reference_loop():
     # The default balances rho; the second solve keeps rho = mu fixed.
     rng = np.random.default_rng(46)
     Y = oracles.subspace_dataset(rng, 4, 3, 30, 50)
-    assert tile_rows(Y.shape[1]) < Y.shape[1]  # the solve's pass takes two tiles
+    assert len(tiles(200, 200)) == 2  # the solve's pass takes two tiles
     cfg = SolverConfig(max_iter=30, tol_primal=1e-300, tol_change=1e-300)
     C, report = solve_ssc(Y, cfg)
     assert report.rho_changes >= 1
@@ -492,15 +515,15 @@ def test_solve_ssc_matches_reference_loop():
 
 @pytest.mark.parametrize("rows", [1, 7, 60])
 def test_solve_ssc_result_does_not_depend_on_the_tile_size(monkeypatch, rows):
-    # 60 points: one row per tile, 7 rows (a one-row tail), and one tile;
+    # 60 points: one row per tile, 7 rows (a four-row tail), and one tile;
     # the balanced default changes rho on the way
     Y = synth_union_of_subspaces(3, 2, 30, 20, 0.01, 3).Y
     cfg = SolverConfig(tol_primal=1e-3, tol_change=1e-4)
-    assert tile_rows(60) >= 60  # the default takes a single tile here
+    assert tiles(60, 60) == [slice(0, 60)]  # the default takes a single tile here
     C_ref, ref = solve_ssc(Y, cfg)
     assert ref.converged and ref.rho_changes >= 1
     monkeypatch.setattr(admm, "TILE_ELEMENTS", rows * 60)
-    assert tile_rows(60) == rows
+    assert tiles(60, 60)[0] == slice(0, rows)
     C, report = solve_ssc(Y, cfg)
     assert report.iterations == ref.iterations
     assert report.rho_changes == ref.rho_changes

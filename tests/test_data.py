@@ -402,6 +402,15 @@ def test_export_heatmap_rejects_nonfinite(tmp_path):
         assert not (tmp_path / "bad.pgm").exists()
 
 
+@pytest.mark.parametrize("shape", [(), (4,), (0, 0), (0, 3), (3, 0), (2, 2, 2)])
+def test_export_heatmap_refuses_a_shape_without_pixel_rows(tmp_path, shape):
+    # not 2-d, or empty: refused as input before the file is opened
+    p = tmp_path / "m.pgm"
+    with pytest.raises(InputError):
+        export_heatmap(np.ones(shape), str(p))
+    assert not p.exists()
+
+
 def test_export_labels_exact(tmp_path):
     p = tmp_path / "labels.csv"
     export_labels([0, 0, 1], str(p))

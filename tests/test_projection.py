@@ -181,6 +181,12 @@ def test_jl_distortion_input_errors():
         jl_distortion(Y, np.ones((2, 3)))
     with pytest.raises(InputError):
         jl_distortion(np.ones((3, 1)), np.ones((2, 1)))
+    # 1-d or 3-d data on either side, the 3-d arrays four columns wide
+    for bad in (Y[0], np.ones((2, 4, 3))):
+        with pytest.raises(InputError):
+            jl_distortion(bad, Y)
+        with pytest.raises(InputError):
+            jl_distortion(Y, bad)
 
 
 def test_jl_distortion_budget_at_desk_scale():
