@@ -129,6 +129,9 @@ def check_data_matrix(Y):
 class SolverConfig:
     """Parameters of the self-expressive solve.
 
+    Its fields declare the command line's solver flags (max_iter is
+    --max-iter), their types and defaults, and `__post_init__` their
+    bounds; the CLI checks each flag and config value here as it reads it.
     mu is the data-fidelity weight, rho the penalty weight of the
     augmented terms; each must be positive and finite.  Leave mu at None
     to pick the data-dependent default mu = 800 / max_{i != j} |y_i^T y_j|.

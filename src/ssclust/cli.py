@@ -4,9 +4,13 @@ Stages run in a fixed order (ingest -> project -> solve -> spectral ->
 export), except that the --out-c heatmap is written before the affinity,
 since W is built in the solve's own N x N buffer.  N points whose N x N
 float array exceeds the machine's physical memory are refused at ingest,
-before any read.  The argument parser is the only schema: config-file
-keys, their types, bounds and defaults, and the lines of the run record
-all come from its flag declarations.
+before any read, and a --k above N or (without --k) a --k-max of N or
+more is refused at ingest, before the solve.  The argument parser is the
+only schema: config-file keys, their types, bounds and defaults, and the
+lines of the run record all come from its flag declarations.  The solver
+flags are generated from `SolverConfig`'s fields, so their names, types
+and defaults are written there, and `SolverConfig` checks each value as
+it is read, from a flag or a config line alike.
 Every run can drop a metadata file of reloadable key=value lines, so a
 finished run can be reproduced from its metadata alone (rho only when
 given: a balanced run records its final rho as a comment, so its replay
@@ -74,6 +78,19 @@ def _at_least(low, name):
     return parse
 
 
+def _solver_value(name, kind):
+    def parse(text):
+        """A `kind` that SolverConfig accepts as `name`; its message if not."""
+        value = kind(text)  # a ValueError stays argparse's usage error
+        try:
+            return getattr(SolverConfig(**{name: value}), name)
+        except InputError as exc:
+            raise ConfigError(str(exc))
+
+    parse.__name__ = kind.__name__
+    return parse
+
+
 parse_synth_spec = _field_parser(
     "--synth", "K,d,D,n_per,sigma,seed", *[int] * 4, float, _at_least(0, "synth seed")
 )
@@ -85,10 +102,12 @@ parse_project_spec = _field_parser(
 def build_parser():
     """The flags, each declaring its type and default once.
 
-    The spec types and the bounded ints (`_at_least`) raise ConfigError,
-    which argparse lets through, so a malformed spec or a value below its
-    flag's bound exits with the configuration code and not a usage error.
-    A value `int` cannot read is still argparse's usage error.
+    The spec types, the bounded ints (`_at_least`) and the solver values
+    (`_solver_value`, one flag per `SolverConfig` field) raise
+    ConfigError, which argparse lets through, so a malformed spec or a
+    value out of its flag's range exits with the configuration code and
+    not a usage error.  A value `int` or `float` cannot read is still
+    argparse's usage error.
     """
     parser = argparse.ArgumentParser(
         prog="ssclust",
@@ -113,12 +132,12 @@ def build_parser():
         metavar="m,seed",
         help="random sketch to m dimensions",
     )
-    sol = parser.add_argument_group("solver")
-    sol.add_argument("--mu", type=float, help="quadratic penalty weight")
-    sol.add_argument("--rho", type=float, help="augmented Lagrangian weight")
-    sol.add_argument("--max-iter", type=int, default=SolverConfig.max_iter)
-    sol.add_argument("--tol-primal", type=float, default=SolverConfig.tol_primal)
-    sol.add_argument("--tol-change", type=float, default=SolverConfig.tol_change)
+    sol = parser.add_argument_group(
+        "solver", "mu: quadratic penalty weight; rho: augmented Lagrangian weight"
+    )
+    for f in fields(SolverConfig):
+        parse = _solver_value(f.name, int if f.type is int else float)
+        sol.add_argument("--" + f.name.replace("_", "-"), type=parse, default=f.default)
     spc = parser.add_argument_group("spectral")
     spc.add_argument("--k", type=_at_least(1, "k"), help="fixed cluster count")
     spc.add_argument("--k-max", type=_at_least(1, "k_max"))
@@ -325,15 +344,16 @@ def main(argv=None):
         if args.config is not None:
             parser.set_defaults(**load_config_file(args.config))
             args = parser.parse_args(argv)
-        try:
-            solver = SolverConfig(
-                **{f.name: getattr(args, f.name) for f in fields(SolverConfig)}
-            )
-        except InputError as exc:
-            raise ConfigError(str(exc))
+        solver = SolverConfig(*(getattr(args, f.name) for f in fields(SolverConfig)))
         _check(args)
         stage = "ingest"
         Y = _load_input(args)
+        n = Y.shape[1]  # checked here, so a k or k_max beyond N costs no solve
+        k_max = args.k_max if args.k_max is not None else default_k_max(n)
+        if args.k is not None and args.k > n:
+            raise InputError(f"need 1 <= k <= {n}, got k={args.k}")
+        if args.k is None and k_max >= n:
+            raise InputError(f"need 1 <= k_max <= {n - 1}, got {k_max}")
         stage = "project"
         if args.project is not None:
             m, seed = args.project
@@ -354,7 +374,6 @@ def main(argv=None):
         stage = "spectral"
         W = build_affinity(C)
         del C  # its memory now holds W
-        k_max = args.k_max if args.k_max is not None else default_k_max(W.shape[0])
         result = cluster(
             W,
             k_override=args.k,

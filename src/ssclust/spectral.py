@@ -299,6 +299,9 @@ def cluster(W, k_override=None, seed=0, k_max=None, restarts=10):
     """
     W = _check_affinity(W)
     n = W.shape[0]
+    k = None if k_override is None else int(k_override)
+    if k is not None and not 1 <= k <= n:  # before any eigendecomposition
+        raise InputError(f"need 1 <= k <= {n}, got k={k}")
     components = _connected_components(W)
     deg = W.sum(axis=1)
     spectra = [
@@ -311,14 +314,10 @@ def cluster(W, k_override=None, seed=0, k_max=None, restarts=10):
     eigenvalues = np.concatenate([v for v, _ in spectra] or [np.empty(0)])
     order = np.argsort(eigenvalues, kind="stable")
     eigenvalues = eigenvalues[order]
-    if k_override is not None:
-        k = int(k_override)
-    else:
+    if k is None:  # an eigengap k is in [1, k_max], within [1, n - 1]
         if k_max is None:
             k_max = default_k_max(n)
         k = estimate_num_clusters(eigenvalues, k_max)
-    if not 1 <= k <= n:
-        raise InputError(f"need 1 <= k <= {n}, got k={k}")
     chosen = order[:k]  # positions in the concatenated block spectra
     embedding = np.zeros((n, k))
     start = 0

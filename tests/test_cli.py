@@ -407,15 +407,18 @@ def test_k_override_flag(tmp_path):
             "--synth", "3,2,50,8,0.0,7",
             "--tol-change", "1e-4",
             "--k", "2",
+            "--k-max", "500",
             "--out-labels", str(labels_path),
             "--out-meta", str(meta_path),
         ]
     )
     assert code == EXIT_OK
     assert len(set(read_labels(labels_path))) == 2
-    # the record gives the affinity's component count beside the k used
+    # the record gives the affinity's component count beside the k used;
+    # only the eigengap reads k_max, so with --k one above N is kept as given
     record = meta_path.read_text().splitlines()
     assert "k=2" in record and "# components=3" in record
+    assert "k_max=500" in record
 
 
 REPO = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
@@ -565,6 +568,67 @@ def test_bounded_flag_that_is_not_an_int_is_a_usage_error(capsys):
     assert exit_info.value.code == 2
     err = capsys.readouterr().err
     assert err.endswith("ssclust: error: argument --k: invalid int value: 'abc'\n")
+
+
+SOLVER_BOUNDS = [
+    ("max_iter", "0", "5", "max_iter must be >= 1, got 0"),
+    ("mu", "-1", "5", "mu must be positive and finite, got -1.0"),
+    ("rho", "0", "5", "rho must be positive and finite, got 0.0"),
+    ("tol_primal", "0", "1e-4", "tolerances must be positive"),
+    ("tol_change", "-1e-05", "1e-4", "tolerances must be positive"),
+]
+
+
+@pytest.mark.parametrize(
+    "key, bad, good, message", SOLVER_BOUNDS, ids=[f"{k}={b}" for k, b, _, _ in SOLVER_BOUNDS]
+)
+def test_solver_config_line_out_of_range_exits_config_under_a_flag(
+    tmp_path, monkeypatch, capsys, key, bad, good, message
+):
+    # each solver flag's type asks SolverConfig, so a config line is
+    # refused with its message even where a valid flag overrides it
+    def no_ingest(args):
+        raise AssertionError("_load_input called")
+
+    monkeypatch.setattr(ssclust.cli, "_load_input", no_ingest)
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(f"{key}={bad}\n")
+    flag = "--" + key.replace("_", "-")
+    argv = ["--synth", "3,2,50,8,0.0,7", flag, good, "--config", str(cfg)]
+    assert main(argv) == EXIT_CONFIG
+    assert capsys.readouterr().err == f"ssclust: config: {message}\n"
+
+
+@pytest.mark.parametrize(
+    "flag, value, kind",
+    [("--max-iter", "1.5", "int"), ("--mu", "abc", "float")],
+)
+def test_solver_flag_of_the_wrong_kind_is_a_usage_error(capsys, flag, value, kind):
+    with pytest.raises(SystemExit) as exit_info:
+        main(["--synth", "3,2,50,8,0.0,7", flag, value])
+    assert exit_info.value.code == 2
+    err = capsys.readouterr().err
+    assert err.endswith(f"ssclust: error: argument {flag}: invalid {kind} value: '{value}'\n")
+
+
+@pytest.mark.parametrize(
+    "args, message",
+    [
+        (["--k", "500"], "need 1 <= k <= 200, got k=500"),
+        (["--k-max", "200"], "need 1 <= k_max <= 199, got 200"),
+    ],
+    ids=["k", "k_max"],
+)
+def test_cluster_count_beyond_the_points_exits_input_before_the_solve(
+    monkeypatch, capsys, args, message
+):
+    def no_solve(*_):
+        raise AssertionError("solve_ssc called")
+
+    monkeypatch.setattr(ssclust.cli, "solve_ssc", no_solve)
+    assert main(["--synth", "5,3,100,40,0.0,0", *args]) == EXIT_INPUT
+    err = capsys.readouterr().err
+    assert err.splitlines()[-1] == f"ssclust: ingest: {message}"
 
 
 def test_non_ascii_record_value_exits_config(tmp_path):

@@ -17,6 +17,7 @@ from ssclust import (
     normalized_laplacian,
     symmetric_eigendecomposition,
 )
+from ssclust import spectral
 from ssclust.admm import tiles
 from ssclust.spectral import default_k_max
 
@@ -310,13 +311,18 @@ def test_cluster_result_invariants():
     assert set(result.labels) == set(range(result.estimated_k))
 
 
-def test_cluster_k_override():
+def test_cluster_k_override(monkeypatch):
     W = ideal_block_affinity([6, 6])
     result = cluster(W, k_override=4)
     assert result.estimated_k == 4
     assert len(set(result.labels)) == 4
-    # checked before the N x k embedding is built: -1 would reach numpy's
-    # ValueError, and a huge k a MemoryError
+    # checked before any eigendecomposition, and so before the N x k
+    # embedding is built: -1 would reach numpy's ValueError, and a huge k
+    # a MemoryError
+    def no_eigh(S):
+        raise AssertionError("symmetric_eigendecomposition called")
+
+    monkeypatch.setattr(spectral, "symmetric_eigendecomposition", no_eigh)
     for k in (0, -1, 13, 10**15):
         with pytest.raises(InputError, match="need 1 <= k <= 12"):
             cluster(W, k_override=k)
@@ -326,6 +332,9 @@ def test_cluster_rejects_empty_affinity():
     # no component gives no spectrum to take an eigengap from
     with pytest.raises(InputError, match="empty spectrum"):
         cluster(np.zeros((0, 0)))
+    # a given k is checked first, against no points
+    with pytest.raises(InputError, match="need 1 <= k <= 0, got k=1"):
+        cluster(np.zeros((0, 0)), k_override=1)
 
 
 def dense_cluster(W):
