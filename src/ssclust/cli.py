@@ -4,13 +4,15 @@ Stages run in a fixed order (ingest -> project -> solve -> spectral ->
 export), except that the --out-c heatmap is written before the affinity,
 since W is built in the solve's own N x N buffer.  N points whose N x N
 float array exceeds the machine's physical memory are refused at ingest,
-before any read, and a --k above N or (without --k) a --k-max of N or
-more is refused at ingest, before the solve.  The argument parser is the
-only schema: config-file keys, their types, bounds and defaults, and the
-lines of the run record all come from its flag declarations.  The solver
-flags are generated from `SolverConfig`'s fields, so their names, types
-and defaults are written there, and `SolverConfig` checks each value as
-it is read, from a flag or a config line alike.
+before any read.  A --k above N or (without --k) a --k-max of N or more
+is refused at ingest, before the solve, by the spectral stage's own
+`check_cluster_settings`.  The argument parser is the only schema:
+config-file keys, their types, bounds and defaults, and the lines of the
+run record all come from its flag declarations.  The solver flags are
+generated from `SolverConfig`'s fields, so their names, types and
+defaults are written there, and `SolverConfig` checks each value as it
+is read, from a flag or a config line alike.  Every error in a config
+line names its file and line.
 Every run can drop a metadata file of reloadable key=value lines, so a
 finished run can be reproduced from its metadata alone (rho only when
 given: a balanced run records its final rho as a comment, so its replay
@@ -43,7 +45,7 @@ from .data import (
 )
 from .errors import ConfigError, DivergenceError, InputError, SsclustError
 from .projection import gaussian_matrix, project
-from .spectral import AFFINITY_FORMULA, build_affinity, cluster, default_k_max
+from .spectral import AFFINITY_FORMULA, build_affinity, check_cluster_settings, cluster
 
 EXIT_OK = 0
 EXIT_CONFIG = ConfigError.exit_code
@@ -188,7 +190,9 @@ def _read_config(text, source):
             else:
                 values[key] = value if action.type is None else action.type(value)
         except (KeyError, ValueError):
-            raise ConfigError(f"bad value for {key}: {value!r}")
+            raise ConfigError(f"{source}:{lineno}: bad value for {key}: {value!r}")
+        except ConfigError as exc:  # a bound the flag's type checks
+            raise ConfigError(f"{source}:{lineno}: {exc}")
     return values
 
 
@@ -243,7 +247,7 @@ def _check_fits(n):
     except (AttributeError, ValueError, OSError):
         return
     if n > 0 and n * n * 8 > memory:  # a negative count is the generator's to refuse
-        raise InputError("the input is too large for this machine")
+        raise MemoryError  # `main` reports it as an input error
 
 
 def _load_input(args):
@@ -348,12 +352,8 @@ def main(argv=None):
         _check(args)
         stage = "ingest"
         Y = _load_input(args)
-        n = Y.shape[1]  # checked here, so a k or k_max beyond N costs no solve
-        k_max = args.k_max if args.k_max is not None else default_k_max(n)
-        if args.k is not None and args.k > n:
-            raise InputError(f"need 1 <= k <= {n}, got k={args.k}")
-        if args.k is None and k_max >= n:
-            raise InputError(f"need 1 <= k_max <= {n - 1}, got {k_max}")
+        # checked here, so a k or k_max beyond N costs no solve
+        k_max = check_cluster_settings(Y.shape[1], args.k, args.k_max)
         stage = "project"
         if args.project is not None:
             m, seed = args.project

@@ -136,22 +136,37 @@ def estimate_num_clusters(eigenvalues, k_max):
     """Index of the largest gap between consecutive ascending eigenvalues.
 
     Returns the k in [1, k_max] maximizing eigenvalues[k] - eigenvalues[k-1]
-    (0-based), ties broken toward smaller k.
+    (0-based), ties broken toward smaller k.  k_max is checked, and
+    defaulted when None, by `check_cluster_settings`.
     """
     eigenvalues = np.asarray(eigenvalues, dtype=float)
-    if eigenvalues.size == 0:
-        raise InputError("empty spectrum")
-    if not 1 <= k_max <= eigenvalues.size - 1:
-        raise InputError(
-            f"need 1 <= k_max <= {eigenvalues.size - 1}, got {k_max}"
-        )
+    k_max = check_cluster_settings(eigenvalues.size, k_max=k_max)
     gaps = eigenvalues[1 : k_max + 1] - eigenvalues[:k_max]
     return int(np.argmax(gaps)) + 1
 
 
-def default_k_max(n):
-    """Largest candidate cluster count for N points when none is given."""
-    return min(n - 1, 15)
+def check_cluster_settings(n, k=None, k_max=None, seed=0, restarts=10):
+    """Refuse a setting the clustering of n points cannot use; return k_max.
+
+    A given k must lie in [1, n], and then k_max is neither used nor
+    checked.  Without k, n = 0 leaves no spectrum to take an eigengap
+    from, and k_max, which defaults to min(n - 1, 15), must lie in
+    [1, n - 1].  The k-means seed must be nonnegative and the restarts at
+    least 1.  Returns k_max, the default when none is given.
+    """
+    k_max = min(n - 1, 15) if k_max is None else k_max
+    if k is not None:
+        if not 1 <= k <= n:
+            raise InputError(f"need 1 <= k <= {n}, got k={k}")
+    elif n == 0:
+        raise InputError("empty spectrum")
+    elif not 1 <= k_max <= n - 1:
+        raise InputError(f"need 1 <= k_max <= {n - 1}, got {k_max}")
+    if seed < 0:
+        raise InputError(f"seed must be nonnegative, got {seed}")
+    if restarts < 1:
+        raise InputError(f"restarts must be >= 1, got {restarts}")
+    return k_max
 
 
 def kmeans(points, k, seed=0, restarts=10):
@@ -177,13 +192,7 @@ def kmeans(points, k, seed=0, restarts=10):
     points = np.asarray(points, dtype=float)
     if points.ndim != 2:
         raise InputError(f"points must be 2-d, got shape {points.shape}")
-    n = points.shape[0]
-    if k < 1 or k > n:
-        raise InputError(f"need 1 <= k <= {n}, got k={k}")
-    if seed < 0:
-        raise InputError(f"seed must be nonnegative, got {seed}")
-    if restarts < 1:
-        raise InputError(f"restarts must be >= 1, got {restarts}")
+    check_cluster_settings(points.shape[0], k, seed=seed, restarts=restarts)
     if not np.isfinite(points).all():
         raise InputError("points have non-finite entries")
 
@@ -263,20 +272,23 @@ def _connected_components(W):
 def cluster(W, k_override=None, seed=0, k_max=None, restarts=10):
     """Full spectral pipeline: Laplacian, eigengap, embedding, k-means.
 
-    The connected components of W's nonzero pattern are found first, and
-    L is eigendecomposed one component at a time.  A connected W builds L
-    whole and passes it uncopied.  A split W builds each component's block
-    of L alone, from the degrees of W's full rows, so each block equals
-    the same rows and columns of the whole L bit for bit, and no N x N
-    array besides W is held.  The split is exact, because L has no entry
-    between components: each block's eigenpairs are eigenpairs of L once
-    the eigenvectors are extended by zeros.  The blocks' eigenvalues are
-    stable-sorted into the ascending spectrum, and the embedding takes
-    the eigenvectors of the k smallest, zero outside their blocks.  When
-    k is below the number of components, more eigenvectors than k belong
-    to the zero eigenvalue: the embedding takes those of the blocks whose
-    rounded zero eigenvalues sort first (exact ties in component order),
-    and the points of the other components sit at the origin.
+    k, k_max, seed and restarts are checked first, by
+    `check_cluster_settings`, so a setting it refuses costs no component
+    search and no eigendecomposition.  The connected components of W's
+    nonzero pattern are found next, and L is eigendecomposed one component
+    at a time.  A connected W builds L whole and passes it uncopied.  A
+    split W builds each component's block of L alone, from the degrees of
+    W's full rows, so each block equals the same rows and columns of the
+    whole L bit for bit, and no N x N array besides W is held.  The split
+    is exact, because L has no entry between components: each block's
+    eigenpairs are eigenpairs of L once the eigenvectors are extended by
+    zeros.  The blocks' eigenvalues are stable-sorted into the ascending
+    spectrum, and the embedding takes the eigenvectors of the k smallest,
+    zero outside their blocks.  When k is below the number of components,
+    more eigenvectors than k belong to the zero eigenvalue: the embedding
+    takes those of the blocks whose rounded zero eigenvalues sort first
+    (exact ties in component order), and the points of the other
+    components sit at the origin.
 
     Parameters
     ----------
@@ -287,7 +299,7 @@ def cluster(W, k_override=None, seed=0, k_max=None, restarts=10):
     seed : int
         Base seed of the k-means restarts.
     k_max : int, optional
-        Largest candidate cluster count; defaults to default_k_max(N).
+        Largest candidate cluster count; defaults to min(N - 1, 15).
     restarts : int
         Number of k-means restarts.
 
@@ -300,8 +312,8 @@ def cluster(W, k_override=None, seed=0, k_max=None, restarts=10):
     W = _check_affinity(W)
     n = W.shape[0]
     k = None if k_override is None else int(k_override)
-    if k is not None and not 1 <= k <= n:  # before any eigendecomposition
-        raise InputError(f"need 1 <= k <= {n}, got k={k}")
+    # before the component search and any eigendecomposition
+    k_max = check_cluster_settings(n, k, k_max, seed, restarts)
     components = _connected_components(W)
     deg = W.sum(axis=1)
     spectra = [
@@ -310,13 +322,10 @@ def cluster(W, k_override=None, seed=0, k_max=None, restarts=10):
         )
         for c in components
     ]
-    # an empty W has no components, and then an empty spectrum
-    eigenvalues = np.concatenate([v for v, _ in spectra] or [np.empty(0)])
+    eigenvalues = np.concatenate([v for v, _ in spectra])  # n >= 1 was checked
     order = np.argsort(eigenvalues, kind="stable")
     eigenvalues = eigenvalues[order]
     if k is None:  # an eigengap k is in [1, k_max], within [1, n - 1]
-        if k_max is None:
-            k_max = default_k_max(n)
         k = estimate_num_clusters(eigenvalues, k_max)
     chosen = order[:k]  # positions in the concatenated block spectra
     embedding = np.zeros((n, k))

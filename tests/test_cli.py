@@ -116,11 +116,14 @@ def test_config_file_nul_byte_exits_config(tmp_path):
     assert list(tmp_path.iterdir()) == [cfg]
 
 
-def test_config_file_bad_value_exits_config(tmp_path):
+def test_config_file_bad_value_exits_config(tmp_path, capsys):
     cfg = tmp_path / "run.cfg"
     for bad in ("max_iter=soon", "normalize=yes"):
         cfg.write_text(f"synth=2,2,20,4,0.0,0\n{bad}\n")
         assert main(["--config", str(cfg)]) == EXIT_CONFIG
+        key, _, value = bad.partition("=")
+        err = capsys.readouterr().err
+        assert err == f"ssclust: config: {cfg}:2: bad value for {key}: '{value}'\n"
 
 
 def test_command_line_beats_config_file(tmp_path):
@@ -546,6 +549,7 @@ def test_value_below_its_bound_exits_config_before_ingest(
         cfg = tmp_path / "run.cfg"
         cfg.write_text(f"{flag[2:]}={value}\n")
         argv += ["--config", str(cfg)]
+        message = f"{cfg}:1: {message}"  # a config line's error names it
     assert main(argv) == EXIT_CONFIG
     assert capsys.readouterr().err == f"ssclust: config: {message}\n"
 
@@ -557,7 +561,8 @@ def test_config_line_below_its_bound_exits_config_under_a_flag(tmp_path, capsys)
     cfg.write_text("restarts=0\n")
     argv = ["--synth", "3,2,50,8,0.0,7", "--restarts", "3", "--config", str(cfg)]
     assert main(argv) == EXIT_CONFIG
-    assert capsys.readouterr().err == "ssclust: config: restarts must be >= 1, got 0\n"
+    err = capsys.readouterr().err
+    assert err == f"ssclust: config: {cfg}:1: restarts must be >= 1, got 0\n"
 
 
 def test_bounded_flag_that_is_not_an_int_is_a_usage_error(capsys):
@@ -596,7 +601,7 @@ def test_solver_config_line_out_of_range_exits_config_under_a_flag(
     flag = "--" + key.replace("_", "-")
     argv = ["--synth", "3,2,50,8,0.0,7", flag, good, "--config", str(cfg)]
     assert main(argv) == EXIT_CONFIG
-    assert capsys.readouterr().err == f"ssclust: config: {message}\n"
+    assert capsys.readouterr().err == f"ssclust: config: {cfg}:1: {message}\n"
 
 
 @pytest.mark.parametrize(

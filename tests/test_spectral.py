@@ -19,7 +19,7 @@ from ssclust import (
 )
 from ssclust import spectral
 from ssclust.admm import tiles
-from ssclust.spectral import default_k_max
+from ssclust.spectral import check_cluster_settings
 
 
 def ideal_block_affinity(sizes):
@@ -190,6 +190,8 @@ def test_estimate_num_clusters_scale_invariant():
 def test_estimate_num_clusters_errors():
     with pytest.raises(InputError):
         estimate_num_clusters([], k_max=1)
+    with pytest.raises(InputError, match="^empty spectrum$"):
+        estimate_num_clusters([], 3)
     with pytest.raises(InputError):
         estimate_num_clusters([0.0, 1.0], k_max=2)
     with pytest.raises(InputError):
@@ -337,10 +339,30 @@ def test_cluster_rejects_empty_affinity():
         cluster(np.zeros((0, 0)), k_override=1)
 
 
+def test_cluster_refuses_settings_before_the_component_search(monkeypatch):
+    # k_max, seed and restarts are checked with k, before the component
+    # search and any eigendecomposition
+    def never(*_):
+        raise AssertionError("component search or eigendecomposition called")
+
+    monkeypatch.setattr(spectral, "symmetric_eigendecomposition", never)
+    monkeypatch.setattr(spectral, "_connected_components", never)
+    W = ideal_block_affinity([6, 6])
+    for settings, message in (
+        ({"k_max": 12}, "need 1 <= k_max <= 11, got 12"),
+        ({"k_max": 0}, "need 1 <= k_max <= 11, got 0"),
+        ({"seed": -1}, "seed must be nonnegative, got -1"),
+        ({"restarts": 0}, "restarts must be >= 1, got 0"),
+    ):
+        with pytest.raises(InputError) as info:
+            cluster(W, **settings)
+        assert str(info.value) == message
+
+
 def dense_cluster(W):
     """The pipeline with one eigh of the whole Laplacian, as a reference."""
     ev, V = np.linalg.eigh(normalized_laplacian(W))
-    k = estimate_num_clusters(ev, default_k_max(W.shape[0]))
+    k = estimate_num_clusters(ev, check_cluster_settings(W.shape[0]))
     rows = np.linalg.norm(V[:, :k], axis=1)
     return ev, k, kmeans(V[:, :k] / np.where(rows > 0, rows, 1.0)[:, None], k)
 
@@ -402,7 +424,7 @@ def whole_laplacian_cluster(W):
     spectra = [symmetric_eigendecomposition(L[np.ix_(c, c)]) for c in components]
     eigenvalues = np.concatenate([v for v, _ in spectra])
     order = np.argsort(eigenvalues, kind="stable")
-    k = estimate_num_clusters(eigenvalues[order], default_k_max(W.shape[0]))
+    k = estimate_num_clusters(eigenvalues[order], check_cluster_settings(W.shape[0]))
     chosen = order[:k]
     embedding = np.zeros((W.shape[0], k))
     start = 0
