@@ -143,8 +143,6 @@ def build_parser():
     spc = parser.add_argument_group("spectral")
     spc.add_argument("--k", type=_at_least(1, "k"), help="fixed cluster count")
     spc.add_argument("--k-max", type=_at_least(1, "k_max"))
-    spc.add_argument("--spectral-seed", type=_at_least(0, "spectral_seed"), default=0)
-    spc.add_argument("--restarts", type=_at_least(1, "restarts"), default=10)
     out = parser.add_argument_group("outputs")
     out.add_argument("--out-labels", metavar="CSV")
     out.add_argument("--out-w", metavar="PGM")
@@ -161,7 +159,9 @@ def _read_config(text, source):
     Lines must be ASCII without NUL, which no path or number holds, and
     split as text-mode `readlines` splits them.
     Keys are the long flag names except --config, with '-' and '_'
-    interchangeable; '#' comments and blank lines are skipped.
+    interchangeable; '#' comments and blank lines are skipped, and so are
+    the retired k-means keys spectral_seed and restarts, so older run
+    records still replay.
     """
     actions = {
         action.dest: action
@@ -181,6 +181,8 @@ def _read_config(text, source):
             raise ConfigError(f"{source}:{lineno}: expected key=value, got {line!r}")
         key, _, value = line.partition("=")
         key = key.strip().replace("-", "_")
+        if key in ("spectral_seed", "restarts"):
+            continue
         if key not in actions:
             raise ConfigError(f"{source}:{lineno}: unknown key {key!r}")
         action, value = actions[key], value.strip()
@@ -374,13 +376,7 @@ def main(argv=None):
         stage = "spectral"
         W = build_affinity(C)
         del C  # its memory now holds W
-        result = cluster(
-            W,
-            k_override=args.k,
-            seed=args.spectral_seed,
-            k_max=k_max,
-            restarts=args.restarts,
-        )
+        result = cluster(W, k_override=args.k, k_max=k_max)
         stage = "export"
         write(args.out_labels, export_labels, result.labels)
         write(args.out_w, export_heatmap, W)

@@ -5,6 +5,10 @@ W = |C~| + |C~|^T (columns of C scaled to unit max magnitude first), the
 symmetric normalized Laplacian of W is eigendecomposed, the cluster count
 is chosen at the largest gap between consecutive ascending eigenvalues,
 and the points are clustered by k-means on the row-normalized embedding.
+The normalized rows cluster by direction, so the k-means seeds are picked
+by a greedy pivoted QR of the rows, one row per direction (Zha, He, Ding,
+Simon & Gu 2001; Damle, Minden & Ying 2019): the clustering is one
+deterministic run, with no random draw.
 
 The Laplacian is eigendecomposed one connected component of W at a time.
 This is exact: L has no entry between two components, so after a
@@ -145,14 +149,13 @@ def estimate_num_clusters(eigenvalues, k_max):
     return int(np.argmax(gaps)) + 1
 
 
-def check_cluster_settings(n, k=None, k_max=None, seed=0, restarts=10):
-    """Refuse a setting the clustering of n points cannot use; return k_max.
+def check_cluster_settings(n, k=None, k_max=None):
+    """Refuse a cluster count the clustering of n points cannot use; return k_max.
 
     A given k must lie in [1, n], and then k_max is neither used nor
     checked.  Without k, n = 0 leaves no spectrum to take an eigengap
     from, and k_max, which defaults to min(n - 1, 15), must lie in
-    [1, n - 1].  The k-means seed must be nonnegative and the restarts at
-    least 1.  Returns k_max, the default when none is given.
+    [1, n - 1].  Returns k_max, the default when none is given.
     """
     k_max = min(n - 1, 15) if k_max is None else k_max
     if k is not None:
@@ -162,61 +165,56 @@ def check_cluster_settings(n, k=None, k_max=None, seed=0, restarts=10):
         raise InputError("empty spectrum")
     elif not 1 <= k_max <= n - 1:
         raise InputError(f"need 1 <= k_max <= {n - 1}, got {k_max}")
-    if seed < 0:
-        raise InputError(f"seed must be nonnegative, got {seed}")
-    if restarts < 1:
-        raise InputError(f"restarts must be >= 1, got {restarts}")
     return k_max
 
 
-def kmeans(points, k, seed=0, restarts=10):
-    """Best-of-restarts Lloyd iterations with distance-weighted seeding.
+def kmeans(points, k):
+    """Lloyd's k-means from seeds picked by a greedy pivoted QR of the rows.
 
-    Each restart r seeds its own generator with seed + r, picks centers
-    greedily with probability proportional to squared distance from the
-    chosen ones, and runs Lloyd until the assignment reaches a fixpoint
-    (at most 300 iterations).  The run with the lowest within-cluster
-    sum of squares wins.  An empty cluster's center is reseated at the
-    point farthest from its own center, and the points are assigned
-    again.  That fills the cluster unless the points have fewer than k
-    distinct rows: then a reseated center can coincide with another, ties
-    go to the lower cluster index, and clusters can stay empty (six equal
-    points and k = 3 give six labels 0).
+    The seeds are k rows picked with no randomness (Zha, He, Ding, Simon &
+    Gu 2001, "Spectral relaxation for K-means clustering"; Damle, Minden &
+    Ying 2019, "Simple, direct and efficient multi-way spectral
+    clustering").  A residual copy of the points is kept; each of the k
+    steps takes the row of largest residual norm (the first on ties) and,
+    when that norm is above 0, projects its direction out of every row.
+    The seeds are the original rows at the pivots: one per direction, so
+    the seeding suits points that cluster by direction, as the
+    row-normalized spectral embedding does.  Points with fewer than k
+    independent directions leave only rounding (or zero, and then the
+    first row) for the remaining pivots, so seeds can repeat a direction
+    or a row; the reseat below handles the clusters they leave empty.
 
-    Each point-center distance is computed once per position of the
-    center: seeding fills the N x k distance matrix one column per drawn
-    center, the first Lloyd step assigns from it, a reseat recomputes
-    only its own column, and the cost is read off the matrix of the last
-    assignment.
+    Lloyd's method then runs from the seeds until the assignment reaches a
+    fixpoint (at most 300 iterations).  An empty cluster's center is
+    reseated at the point farthest from its own center, and the points are
+    assigned again.  That fills the cluster unless the points have fewer
+    than k distinct rows: then a reseated center can coincide with
+    another, ties go to the lower cluster index, and clusters can stay
+    empty (six equal points and k = 3 give six labels 0).  The clusters
+    are numbered in the order of their smallest member, so the labels
+    depend only on the partition.  The pivot arithmetic, like the
+    distances, is elementwise numpy with no BLAS call, so the same points
+    get the same labels at any BLAS thread count.
     """
     points = np.asarray(points, dtype=float)
     if points.ndim != 2:
         raise InputError(f"points must be 2-d, got shape {points.shape}")
-    check_cluster_settings(points.shape[0], k, seed=seed, restarts=restarts)
+    check_cluster_settings(points.shape[0], k)
     if not np.isfinite(points).all():
         raise InputError("points have non-finite entries")
 
-    best_labels = None
-    best_cost = np.inf
-    for r in range(restarts):
-        labels, cost = _lloyd_run(points, k, np.random.default_rng(seed + r))
-        if cost < best_cost:
-            best_cost = cost
-            best_labels = labels
-    return best_labels
-
-
-def _lloyd_run(points, k, rng):
     n = points.shape[0]
-    centers = np.empty((k, points.shape[1]))
-    dist2 = np.empty((n, k))  # squared distance of each point to each center
-    for c in range(k):
-        weights = dist2[:, :c].min(axis=1) if c else np.zeros(n)
-        total = weights.sum()
-        # uniform for the first center and when every point sits on a center
-        at = rng.choice(n, p=weights / total) if total > 0 else rng.integers(n)
-        centers[c] = points[at]
-        dist2[:, c] = _sq_distances(points, centers[c : c + 1])[:, 0]
+    residual = points.copy()
+    pivots = []
+    for _ in range(k):
+        norms = np.sum(residual * residual, axis=1)
+        pivot = int(norms.argmax())
+        pivots.append(pivot)
+        if norms[pivot] > 0:
+            direction = residual[pivot] / np.sqrt(norms[pivot])
+            residual -= np.sum(residual * direction, axis=1)[:, None] * direction
+    centers = points[pivots]
+    dist2 = _sq_distances(points, centers)  # of each point to each center
     labels = np.full(n, -1)
     for _ in range(LLOYD_MAX_ITER):
         new_labels = dist2.argmin(axis=1)
@@ -235,8 +233,9 @@ def _lloyd_run(points, k, rng):
             if len(members):
                 centers[c] = members.mean(axis=0)
         dist2 = _sq_distances(points, centers)
-    cost = float(dist2[np.arange(n), labels].sum())
-    return labels, cost
+    # number the clusters in the order of their smallest member
+    _, first, inverse = np.unique(labels, return_index=True, return_inverse=True)
+    return np.argsort(np.argsort(first))[inverse]
 
 
 def _sq_distances(points, centers):
@@ -269,10 +268,10 @@ def _connected_components(W):
     return components
 
 
-def cluster(W, k_override=None, seed=0, k_max=None, restarts=10):
+def cluster(W, k_override=None, k_max=None):
     """Full spectral pipeline: Laplacian, eigengap, embedding, k-means.
 
-    k, k_max, seed and restarts are checked first, by
+    k and k_max are checked first, by
     `check_cluster_settings`, so a setting it refuses costs no component
     search and no eigendecomposition.  The connected components of W's
     nonzero pattern are found next, and L is eigendecomposed one component
@@ -296,12 +295,8 @@ def cluster(W, k_override=None, seed=0, k_max=None, restarts=10):
         Symmetric nonnegative affinity with zero diagonal.
     k_override : int, optional
         Fixed cluster count; skips eigengap estimation when given.
-    seed : int
-        Base seed of the k-means restarts.
     k_max : int, optional
         Largest candidate cluster count; defaults to min(N - 1, 15).
-    restarts : int
-        Number of k-means restarts.
 
     Returns
     -------
@@ -313,7 +308,7 @@ def cluster(W, k_override=None, seed=0, k_max=None, restarts=10):
     n = W.shape[0]
     k = None if k_override is None else int(k_override)
     # before the component search and any eigendecomposition
-    k_max = check_cluster_settings(n, k, k_max, seed, restarts)
+    k_max = check_cluster_settings(n, k, k_max)
     components = _connected_components(W)
     deg = W.sum(axis=1)
     spectra = [
@@ -336,7 +331,7 @@ def cluster(W, k_override=None, seed=0, k_max=None, restarts=10):
         start += members.size
     rows = np.linalg.norm(embedding, axis=1)
     normalized = embedding / np.where(rows > 0, rows, 1.0)[:, None]
-    labels = kmeans(normalized, k, seed=seed, restarts=restarts)
+    labels = kmeans(normalized, k)
     return SpectralResult(
         eigenvalues=eigenvalues, estimated_k=k, labels=labels, components=len(components)
     )

@@ -194,30 +194,34 @@ def scalar_normalized_laplacian(W):
     return L
 
 
-def brute_force_kmeans_cost(points, k):
-    """Minimum within-cluster sum of squares over all assignments."""
-    n = len(points)
-    best = np.inf
-    for labels in itertools.product(range(k), repeat=n):
-        if len(set(labels)) < k:
-            continue
-        cost = 0.0
-        for c in range(k):
-            members = np.array([points[i] for i in range(n) if labels[i] == c])
-            center = members.mean(axis=0)
-            cost += np.sum((members - center) ** 2)
-        best = min(best, cost)
-    return best
+def pivoted_rows(points, k):
+    """k row indices of a greedy pivoted QR, every residual rebuilt afresh.
+
+    Step s rebuilds the residual of every row from the points themselves,
+    projecting out the unit directions of the pivots so far in the order
+    they were taken, then takes the row of largest residual norm (the
+    first on ties) and keeps its direction when that norm is above 0.
+    """
+    pivots, directions = [], []
+    for _ in range(k):
+        residual = np.array(points, dtype=float)
+        for q in directions:
+            residual -= np.sum(residual * q, axis=1)[:, None] * q
+        norms = np.sum(residual * residual, axis=1)
+        pivots.append(int(norms.argmax()))
+        if norms[pivots[-1]] > 0:
+            directions.append(residual[pivots[-1]] / np.sqrt(norms[pivots[-1]]))
+    return pivots
 
 
-def reference_kmeans(points, k, seed=0, restarts=10):
-    """Best-of-restarts k-means++ and Lloyd, every distance matrix afresh.
+def reference_kmeans(points, k):
+    """Lloyd from the pivoted-QR seeds, every distance matrix afresh.
 
-    Seeding recomputes the distances to every chosen center at each draw,
-    every Lloyd step and every empty-cluster reseat recomputes all k
-    columns, and the cost is read off one more recomputation.  Same
-    generator calls, same broadcast distances, so the labels must match
-    the package bit for bit.
+    Every Lloyd step and every empty-cluster reseat recomputes all k
+    columns of the distance matrix.  The clusters are then numbered by a
+    scan of the points: a point whose cluster has no number yet gives it
+    the next one.  Same seeds and same broadcast distances, so the labels
+    must match the package bit for bit.
     """
     points = np.asarray(points, dtype=float)
     n = points.shape[0]
@@ -226,47 +230,28 @@ def reference_kmeans(points, k, seed=0, restarts=10):
         diff = points[:, None, :] - centers[None, :, :]
         return np.sum(diff * diff, axis=2)
 
-    def weighted_seeds(rng):
-        chosen = [int(rng.integers(n))]
-        while len(chosen) < k:
-            d2 = sq_distances(points[chosen]).min(axis=1)
-            total = d2.sum()
-            if total > 0:
-                chosen.append(int(rng.choice(n, p=d2 / total)))
-            else:
-                chosen.append(int(rng.integers(n)))
-        return chosen
-
-    def lloyd_run(rng):
-        centers = points[weighted_seeds(rng)].copy()
-        labels = np.full(n, -1)
-        for _ in range(300):
-            dist2 = sq_distances(centers)
-            new_labels = dist2.argmin(axis=1)
-            for c in range(k):
-                if not (new_labels == c).any():
-                    far = int(dist2[np.arange(n), new_labels].argmax())
-                    centers[c] = points[far]
-                    dist2 = sq_distances(centers)
-                    new_labels = dist2.argmin(axis=1)
-            if (new_labels == labels).all():
-                break
-            labels = new_labels
-            for c in range(k):
-                members = points[labels == c]
-                if len(members):
-                    centers[c] = members.mean(axis=0)
-        cost = float(sq_distances(centers)[np.arange(n), labels].sum())
-        return labels, cost
-
-    best_labels = None
-    best_cost = np.inf
-    for r in range(restarts):
-        labels, cost = lloyd_run(np.random.default_rng(seed + r))
-        if cost < best_cost:
-            best_cost = cost
-            best_labels = labels
-    return best_labels
+    centers = points[pivoted_rows(points, k)].copy()
+    labels = np.full(n, -1)
+    for _ in range(300):
+        dist2 = sq_distances(centers)
+        new_labels = dist2.argmin(axis=1)
+        for c in range(k):
+            if not (new_labels == c).any():
+                far = int(dist2[np.arange(n), new_labels].argmax())
+                centers[c] = points[far]
+                dist2 = sq_distances(centers)
+                new_labels = dist2.argmin(axis=1)
+        if (new_labels == labels).all():
+            break
+        labels = new_labels
+        for c in range(k):
+            members = points[labels == c]
+            if len(members):
+                centers[c] = members.mean(axis=0)
+    numbers = {}
+    for label in labels:
+        numbers.setdefault(label, len(numbers))
+    return np.array([numbers[label] for label in labels])
 
 
 def reference_synth_bases(K, d, D, seed):

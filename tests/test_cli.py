@@ -350,8 +350,6 @@ def test_metadata_replays_every_flag(tmp_path):
             "--tol-change", "1e-3",
             "--k", "3",
             "--k-max", "5",
-            "--spectral-seed", "4",
-            "--restarts", "3",
         ]
         + out_args(first)
     )
@@ -504,14 +502,13 @@ def test_overflowing_column_norm_exits_input(tmp_path, sigma):
     [
         ("--synth", "3,2,50,8,0.0,-1"),
         ("--synth", "3,2,50,8,0.0,7", "--project", "5,-1"),
-        ("--synth", "3,2,50,8,0.0,7", "--spectral-seed", "-1"),
         ("--synth", "3,2,50,8,0.0,7", "--config", "{cfg}"),
     ],
-    ids=["synth", "project", "spectral", "config-file"],
+    ids=["synth", "project", "config-file"],
 )
 def test_negative_seed_exits_config(tmp_path, args):
     cfg = tmp_path / "seed.cfg"
-    cfg.write_text("spectral_seed=-1\n")
+    cfg.write_text("project=5,-1\n")
     proc = run_module(*(arg.format(cfg=cfg) for arg in args))
     assert proc.returncode == EXIT_CONFIG
     assert proc.stderr.startswith("ssclust: config: ")
@@ -519,10 +516,10 @@ def test_negative_seed_exits_config(tmp_path, args):
 
 
 BOUNDS = [
-    ("--restarts", "0", "restarts must be >= 1, got 0"),
+    ("--max-iter", "0", "max_iter must be >= 1, got 0"),
     ("--k-max", "0", "k_max must be >= 1, got 0"),
     ("--k", "0", "k must be >= 1, got 0"),
-    ("--spectral-seed", "-1", "spectral_seed must be >= 0, got -1"),
+    ("--rho", "-1", "rho must be positive and finite, got -1.0"),
     ("--project", "0,0", "projection m must be >= 1, got 0"),
     ("--project", "5,-1", "projection seed must be >= 0, got -1"),
     ("--synth", "3,2,50,8,0.0,-1", "synth seed must be >= 0, got -1"),
@@ -558,11 +555,41 @@ def test_config_line_below_its_bound_exits_config_under_a_flag(tmp_path, capsys)
     # the config file is read whole, each line as its flag would read it,
     # so a line out of range is refused even where a flag overrides it
     cfg = tmp_path / "run.cfg"
-    cfg.write_text("restarts=0\n")
-    argv = ["--synth", "3,2,50,8,0.0,7", "--restarts", "3", "--config", str(cfg)]
+    cfg.write_text("k_max=0\n")
+    argv = ["--synth", "3,2,50,8,0.0,7", "--k-max", "3", "--config", str(cfg)]
     assert main(argv) == EXIT_CONFIG
     err = capsys.readouterr().err
-    assert err == f"ssclust: config: {cfg}:1: restarts must be >= 1, got 0\n"
+    assert err == f"ssclust: config: {cfg}:1: k_max must be >= 1, got 0\n"
+
+
+def test_record_with_the_retired_k_means_keys_replays(tmp_path, capsys):
+    # records written while k-means took a seed and a restart count carry
+    # spectral_seed= and restarts= lines; the reader skips both keys
+    record = tmp_path / "run.txt"
+    record.write_text(
+        "# run record; reloadable with --config\n"
+        "# converged=true\n"
+        "# rho_final=3.131953540366563\n"
+        "# estimated_k=3\n"
+        "# components=3\n"
+        "synth=3,2,50,8,0.0,7\n"
+        "normalize=false\n"
+        "mu=801.7801063338401\n"
+        "max_iter=5000\n"
+        "tol_primal=0.0001\n"
+        "tol_change=1e-05\n"
+        "k_max=15\n"
+        "spectral_seed=0\n"
+        "restarts=10\n"
+        f"out_labels={tmp_path / 'replay.csv'}\n"
+    )
+    values = load_config_file(record)
+    assert "spectral_seed" not in values and "restarts" not in values
+    assert main(["--config", str(record)]) == EXIT_OK
+    assert capsys.readouterr().err == ""
+    fresh = tmp_path / "fresh.csv"
+    assert main(["--synth", "3,2,50,8,0.0,7", "--out-labels", str(fresh)]) == EXIT_OK
+    assert (tmp_path / "replay.csv").read_bytes() == fresh.read_bytes()
 
 
 def test_bounded_flag_that_is_not_an_int_is_a_usage_error(capsys):
@@ -839,8 +866,6 @@ OPTIONAL_FLAGS = (
     ("--tol-change", ("1e-4", "1e-3")),
     ("--k", ("1", "2", "3")),
     ("--k-max", ("1", "2", "3")),
-    ("--spectral-seed", ("0", "1")),
-    ("--restarts", ("1", "2", "3")),
 )
 OUTPUTS = (("w", "w.pgm"), ("c", "c.pgm"), ("conv", "conv.csv"), ("meta", "run.txt"))
 CONFIG_LINES = (

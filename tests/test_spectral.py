@@ -207,7 +207,7 @@ def test_estimate_on_ideal_blocks():
 
 def test_kmeans_separated_pairs():
     pts = np.array([[0.0], [0.1], [10.0], [10.1]])
-    labels = kmeans(pts, 2, seed=0)
+    labels = kmeans(pts, 2)
     assert labels[0] == labels[1]
     assert labels[2] == labels[3]
     assert labels[0] != labels[2]
@@ -216,7 +216,7 @@ def test_kmeans_separated_pairs():
 def test_kmeans_k_equals_n():
     rng = np.random.default_rng(13)
     pts = rng.normal(size=(5, 2))
-    labels = kmeans(pts, 5, seed=1)
+    labels = kmeans(pts, 5)
     assert sorted(labels) == [0, 1, 2, 3, 4]
 
 
@@ -225,68 +225,90 @@ def test_kmeans_recovers_blobs():
     centers = np.array([[0.0, 0.0], [8.0, 0.0], [0.0, 8.0]])
     pts = np.vstack([c + 0.2 * rng.normal(size=(10, 2)) for c in centers])
     truth = np.repeat([0, 1, 2], 10)
-    labels = kmeans(pts, 3, seed=0)
+    labels = kmeans(pts, 3)
     assert oracles.pair_counting_agreement(labels, truth) == 1.0
 
 
-def test_kmeans_cost_matches_bruteforce():
+def test_kmeans_ends_at_a_lloyd_fixpoint_below_the_seeds_cost():
+    # each label is the nearest of the cluster means, and the within-cluster
+    # cost is at most that of assigning each point to its nearest seed
     rng = np.random.default_rng(15)
-    for _ in range(5):
-        pts = rng.normal(size=(7, 2))
-        k = int(rng.integers(2, 4))
-        labels = kmeans(pts, k, seed=3, restarts=20)
-        cost = 0.0
-        for c in range(k):
-            members = pts[labels == c]
-            cost += np.sum((members - members.mean(axis=0)) ** 2)
-        assert cost <= oracles.brute_force_kmeans_cost(pts, k) + 1e-9
+    for _ in range(20):
+        n = int(rng.integers(4, 40))
+        pts = rng.normal(size=(n, int(rng.integers(1, 5))))
+        k = int(rng.integers(1, n + 1))
+        labels = kmeans(pts, k)
+        used = np.unique(labels)
+        assert np.array_equal(used, np.arange(used.size))
+        centers = np.array([pts[labels == c].mean(axis=0) for c in used])
+        dist2 = ((pts[:, None, :] - centers[None, :, :]) ** 2).sum(axis=2)
+        assert np.all(dist2[np.arange(n), labels] <= dist2.min(axis=1) + 1e-12)
+        seeds = pts[oracles.pivoted_rows(pts, k)]
+        seed_cost = ((pts[:, None, :] - seeds[None, :, :]) ** 2).sum(axis=2).min(axis=1).sum()
+        assert dist2[np.arange(n), labels].sum() <= seed_cost + 1e-12
 
 
 def test_kmeans_deterministic_and_bounds():
     rng = np.random.default_rng(16)
     pts = rng.normal(size=(12, 3))
-    a = kmeans(pts, 3, seed=5)
-    b = kmeans(pts, 3, seed=5)
+    a = kmeans(pts, 3)
+    b = kmeans(pts, 3)
     assert np.array_equal(a, b)
     with pytest.raises(InputError):
-        kmeans(pts, 13, seed=0)
+        kmeans(pts, 13)
     with pytest.raises(InputError):
-        kmeans(pts, 0, seed=0)
-    for seed, restarts in ((-1, 10), (0, 0), (0, -3)):
-        with pytest.raises(InputError):
-            kmeans(pts, 3, seed=seed, restarts=restarts)
-    # no restart has a finite cost on such points, so none would be kept
+        kmeans(pts, 0)
+    # a non-finite point has no distance to compare
     for bad in (np.nan, np.inf):
         with pytest.raises(InputError, match="non-finite"):
             kmeans(np.where(np.arange(12)[:, None] == 5, bad, pts), 3)
-    # fewer distinct points than k: the reseated centers coincide, ties go
-    # to the lower index, and clusters stay empty
+    # fewer distinct points than k: the seeds are equal rows, the reseated
+    # centers coincide, ties go to the lower index, and clusters stay empty
     assert np.array_equal(kmeans(np.ones((6, 2)), 3), np.zeros(6))
 
 
 def test_kmeans_matches_reference():
-    # integer points in 1-3 dims repeat rows and tie distances, so seeding
-    # meets zero weights and Lloyd meets ties; a third of the cases reseat
-    # an empty cluster onto a point that already has a center
+    # integer points in 1-3 dims repeat rows and directions and tie
+    # distances, so pivoting meets zero residuals and Lloyd meets ties;
+    # 422 of the 600 cases reseat an empty cluster at the first assignment,
+    # and 129 after a mean update
     rng = np.random.default_rng(20)
     cases = []
     for _ in range(600):
         n = int(rng.integers(2, 31))
         k = int(rng.integers(1, n + 1))
         pts = np.rint(rng.normal(scale=2.0, size=(n, int(rng.integers(1, 4)))))
-        cases.append((pts, k, int(rng.integers(1000)), 3))
-    # a mean update empties a cluster, and its reseat takes a point over
-    for pts, k, seed in (
-        ([[0, 1], [0, 4], [4, 2], [5, 2], [1, 5], [0, 2], [0, 2]], 4, 2386),
-        ([[0, 1], [2, 4], [5, 4], [5, 5], [0, 5], [0, 4], [2, 0], [4, 5]], 4, 248),
-        ([[5, 3], [5, 5], [0, 0], [0, 2], [2, 5], [4, 3], [5, 2], [0, 1]], 3, 83),
+        rng.integers(1000)  # a retired seed's draw, so the cases stay the same
+        cases.append((pts, k))
+    # the first two reseat at the first assignment; in the last three, a
+    # mean update empties a cluster and its reseat takes a point over
+    for pts, k in (
+        ([[0, 1], [0, 4], [4, 2], [5, 2], [1, 5], [0, 2], [0, 2]], 4),
+        ([[0, 1], [2, 4], [5, 4], [5, 5], [0, 5], [0, 4], [2, 0], [4, 5]], 4),
+        ([[5, 3], [5, 5], [0, 0], [0, 2], [2, 5], [4, 3], [5, 2], [0, 1]], 3),
+        ([[2, 1], [3, 5], [0, 2], [4, 5], [2, 5], [1, 1], [1, 5]], 3),
+        ([[2, 5], [1, 5], [0, 1], [1, 0], [0, 5]], 3),
+        ([[2, 1], [2, 2], [5, 3], [4, 5], [4, 4]], 3),
     ):
-        cases.append((np.array(pts, dtype=float), k, seed, 1))
-    for pts, k, seed, restarts in cases:
-        assert np.array_equal(
-            kmeans(pts, k, seed=seed, restarts=restarts),
-            oracles.reference_kmeans(pts, k, seed=seed, restarts=restarts),
-        )
+        cases.append((np.array(pts, dtype=float), k))
+    for pts, k in cases:
+        assert np.array_equal(kmeans(pts, k), oracles.reference_kmeans(pts, k))
+
+
+def test_labels_are_numbered_by_each_clusters_first_member():
+    # the pivots order the seeds, not the points; the labels are numbered
+    # by each cluster's smallest member whatever the order of the points
+    assert kmeans([[1.0, 0.0], [0.0, 3.0], [1.1, 0.0]], 2).tolist() == [0, 1, 0]
+    rng = np.random.default_rng(21)
+    W = ideal_block_affinity([5, 7, 6])
+    for _ in range(5):
+        perm = rng.permutation(W.shape[0])
+        labels = cluster(W[np.ix_(perm, perm)]).labels
+        truth = np.repeat([0, 1, 2], [5, 7, 6])[perm]
+        _, first = np.unique(truth, return_index=True)
+        expected = np.empty(3, dtype=int)
+        expected[truth[np.sort(first)]] = np.arange(3)
+        assert np.array_equal(labels, expected[truth])
 
 
 def test_cluster_three_ideal_blocks():
@@ -340,8 +362,8 @@ def test_cluster_rejects_empty_affinity():
 
 
 def test_cluster_refuses_settings_before_the_component_search(monkeypatch):
-    # k_max, seed and restarts are checked with k, before the component
-    # search and any eigendecomposition
+    # k_max is checked with k, before the component search and any
+    # eigendecomposition
     def never(*_):
         raise AssertionError("component search or eigendecomposition called")
 
@@ -351,8 +373,6 @@ def test_cluster_refuses_settings_before_the_component_search(monkeypatch):
     for settings, message in (
         ({"k_max": 12}, "need 1 <= k_max <= 11, got 12"),
         ({"k_max": 0}, "need 1 <= k_max <= 11, got 0"),
-        ({"seed": -1}, "seed must be nonnegative, got -1"),
-        ({"restarts": 0}, "restarts must be >= 1, got 0"),
     ):
         with pytest.raises(InputError) as info:
             cluster(W, **settings)
