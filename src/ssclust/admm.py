@@ -125,7 +125,7 @@ def check_data_matrix(Y):
     return Y
 
 
-@dataclass
+@dataclass(frozen=True)
 class SolverConfig:
     """Parameters of the self-expressive solve.
 
@@ -136,7 +136,9 @@ class SolverConfig:
     augmented terms; each must be positive and finite.  Leave mu at None
     to pick the data-dependent default mu = 800 / max_{i != j} |y_i^T y_j|.
     rho starts at mu and is balanced unless given (see the module
-    docstring); a given rho stays fixed.
+    docstring); a given rho stays fixed.  It is frozen, so no value can
+    change after its check: `dataclasses.replace` builds a new one and
+    checks it again.
     """
 
     mu: float | None = None

@@ -169,23 +169,21 @@ def synth_union_of_subspaces(K, d, D, n_per, noise_sigma=0.0, seed=0):
         raise InputError(f"a {D} x {width} array of floats is too large to describe")
 
     rng = np.random.default_rng(seed)
-    for _ in range(MAX_BASIS_RETRIES):
-        bases = []
-        while len(bases) < K:
-            B, _ = np.linalg.qr(rng.standard_normal((D, d)))
-            if bases:  # against every kept basis in one stacked product
-                products = np.stack(bases).swapaxes(1, 2) @ B
-                if np.linalg.svd(products, compute_uv=False).max() > SEPARATION_COSINE:
-                    break
-            bases.append(B)
-        else:  # no clash: all K kept
-            break
-    else:
-        raise InputError(
-            f"could not draw {K} subspaces of dim {d} in R^{D} with "
-            f"pairwise principal cosines <= {SEPARATION_COSINE} "
-            f"after {MAX_BASIS_RETRIES} attempts"
-        )
+    bases, attempts = [], 0
+    while len(bases) < K:
+        B, _ = np.linalg.qr(rng.standard_normal((D, d)))
+        if bases:  # against every kept basis in one stacked product
+            products = np.stack(bases).swapaxes(1, 2) @ B
+            if np.linalg.svd(products, compute_uv=False).max() > SEPARATION_COSINE:
+                bases, attempts = [], attempts + 1  # a clash starts all K again
+                if attempts == MAX_BASIS_RETRIES:
+                    raise InputError(
+                        f"could not draw {K} subspaces of dim {d} in R^{D} with "
+                        f"pairwise principal cosines <= {SEPARATION_COSINE} "
+                        f"after {MAX_BASIS_RETRIES} attempts"
+                    )
+                continue
+        bases.append(B)
 
     Y = np.empty((D, K * n_per))
     for B, block in zip(bases, np.hsplit(Y, K)):  # each block is a view of Y

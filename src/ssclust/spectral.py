@@ -30,7 +30,6 @@ from .admm import tiles
 from .errors import InputError
 
 AFFINITY_FORMULA = "colmax-abs-symmetrize"
-SYMMETRY_TOL = 1e-10  # largest |S - S^T| entry taken as symmetric
 LLOYD_MAX_ITER = 300
 
 
@@ -87,24 +86,40 @@ def build_affinity(C):
     return scaled
 
 
+def _check_symmetric(S, name):
+    """S, refused unless square and exactly symmetric.
+
+    The Laplacian and `eigh` are defined for a symmetric matrix only, and
+    `build_affinity` makes W symmetric bit for bit, so no tolerance is
+    taken: a caller symmetrizes with (S + S^T) / 2, which is exact.  Each
+    strip of `tiles(N, N)` rows is compared with the matching columns, so
+    no N x N temporary is made, and a NaN, equal to nothing, is refused.
+    """
+    if S.ndim != 2 or S.shape[0] != S.shape[1]:
+        raise InputError(f"{name} must be square, got {S.shape}")
+    for b in tiles(*S.shape):
+        if not np.array_equal(S[b], S[:, b].T):
+            raise InputError(f"{name} is not symmetric")
+    return S
+
+
 def _check_affinity(W):
-    """W as a float array, refused unless square, finite and nonnegative."""
+    """W as a float array, refused unless finite, nonnegative and symmetric."""
     W = np.asarray(W, dtype=float)
-    if W.ndim != 2 or W.shape[0] != W.shape[1]:
-        raise InputError(f"affinity must be square, got {W.shape}")
     if not np.isfinite(W).all():
         raise InputError("affinity has non-finite entries")
     if W.min(initial=0.0) < 0:
         raise InputError("affinity has negative entries")
-    return W
+    return _check_symmetric(W, "affinity")
 
 
 def normalized_laplacian(W, deg=None):
     """Symmetric normalized Laplacian I - D^{-1/2} W D^{-1/2} of symmetric W.
 
+    W must be finite, nonnegative and exactly symmetric (`_check_affinity`).
     Degree-zero vertices get an all-zero row and column (diagonal
     included), so each isolated vertex contributes one zero eigenvalue.
-    Entry (i, j) is (-s_i s_j) W_ij with s = D^{-1/2}, so an exactly
+    Entry (i, j) is (-s_i s_j) W_ij with s = D^{-1/2}, so the exactly
     symmetric W gives an exactly symmetric L.
 
     `deg`, when given, holds the degrees of W's vertices in a larger
@@ -124,14 +139,13 @@ def normalized_laplacian(W, deg=None):
 
 
 def symmetric_eigendecomposition(S):
-    """Eigenvalues (ascending) and orthonormal eigenvectors of symmetric S."""
-    S = np.asarray(S, dtype=float)
-    if S.ndim != 2 or S.shape[0] != S.shape[1]:
-        raise InputError(f"matrix must be square, got {S.shape}")
-    asym = S - S.T
-    if np.abs(asym, out=asym).max(initial=0.0) > SYMMETRY_TOL:
-        raise InputError("matrix is not symmetric")
-    del asym  # freed before eigh allocates its N x N output
+    """Eigenvalues (ascending) and orthonormal eigenvectors of symmetric S.
+
+    S must be square and exactly symmetric (`_check_symmetric`); one that
+    is not, by a single ulp or a NaN, is refused rather than handed to
+    `eigh`, which reads one triangle only.
+    """
+    S = _check_symmetric(np.asarray(S, dtype=float), "matrix")
     eigenvalues, eigenvectors = np.linalg.eigh(S)
     return eigenvalues, eigenvectors
 
@@ -246,21 +260,22 @@ def _sq_distances(points, centers):
 def _connected_components(W):
     """Vertex indices of each connected component of W's nonzero pattern.
 
-    Breadth-first search over the boolean adjacency W != 0, one frontier
-    of vertices at a time.  Edges are followed along rows and columns, so
-    every nonzero of an asymmetric W also falls inside one component.  The
+    Breadth-first search, one frontier of vertices at a time, following
+    the nonzeros of the frontier's rows of W: W is exactly symmetric
+    (`_check_affinity`), so the rows hold every edge.  The rows are read
+    one strip of `tiles` at a time, so no N x N temporary is made.  The
     components come in the order of their smallest vertex, each ascending.
     """
-    adjacency = W != 0
-    unseen = np.ones(adjacency.shape[0], dtype=bool)
+    unseen = np.ones(W.shape[0], dtype=bool)
     components = []
     for start in range(unseen.size):
         if unseen[start]:
             unseen[start] = False
             reached = frontier = np.array([start])
             while frontier.size:
-                touched = adjacency[frontier].any(axis=0)
-                touched |= adjacency[:, frontier].any(axis=1)
+                touched = np.zeros_like(unseen)
+                for b in tiles(frontier.size, unseen.size):
+                    touched |= (W[frontier[b]] != 0).any(axis=0)
                 frontier = np.flatnonzero(touched & unseen)
                 unseen[frontier] = False
                 reached = np.concatenate([reached, frontier])
@@ -271,17 +286,18 @@ def _connected_components(W):
 def cluster(W, k_override=None, k_max=None):
     """Full spectral pipeline: Laplacian, eigengap, embedding, k-means.
 
-    k and k_max are checked first, by
-    `check_cluster_settings`, so a setting it refuses costs no component
-    search and no eigendecomposition.  The connected components of W's
-    nonzero pattern are found next, and L is eigendecomposed one component
-    at a time.  A connected W builds L whole and passes it uncopied.  A
-    split W builds each component's block of L alone, from the degrees of
-    W's full rows, so each block equals the same rows and columns of the
-    whole L bit for bit, and no N x N array besides W is held.  The split
-    is exact, because L has no entry between components: each block's
-    eigenpairs are eigenpairs of L once the eigenvectors are extended by
-    zeros.  The blocks' eigenvalues are stable-sorted into the ascending
+    W is checked first, by `_check_affinity`: finite, nonnegative, and
+    exactly symmetric, so that its rows hold every edge; then k and k_max,
+    by `check_cluster_settings`.  An input either check refuses costs no
+    component search and no eigendecomposition.  The connected components
+    of W's nonzero pattern are found next, along W's rows, and L is
+    eigendecomposed one component at a time.  A connected W builds L whole
+    and passes it uncopied.  A split W builds each component's block of L
+    alone, from the degrees of W's full rows, so each block equals the
+    same rows and columns of the whole L bit for bit, and no N x N array
+    besides W is held.  The split is exact, because L has no entry
+    between components: each block's eigenpairs are eigenpairs of L once
+    the eigenvectors are extended by zeros.  The blocks' eigenvalues are stable-sorted into the ascending
     spectrum, and the embedding takes the eigenvectors of the k smallest,
     zero outside their blocks.  When k is below the number of components,
     more eigenvectors than k belong to the zero eigenvalue: the embedding
@@ -292,7 +308,8 @@ def cluster(W, k_override=None, k_max=None):
     Parameters
     ----------
     W : array, shape (N, N)
-        Symmetric nonnegative affinity with zero diagonal.
+        Finite, nonnegative, exactly symmetric affinity with zero
+        diagonal; symmetrize a nearly symmetric S as (S + S.T) / 2.
     k_override : int, optional
         Fixed cluster count; skips eigengap estimation when given.
     k_max : int, optional

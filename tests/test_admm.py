@@ -67,6 +67,20 @@ def test_solver_config_validation():
     assert cfg.tol_change == 1e-5
 
 
+def test_solver_config_is_frozen():
+    # a field set after the checks would bypass them: max_iter = 0 would
+    # reach the solve loop with no iteration to report
+    cfg = SolverConfig()
+    for name, value in (("max_iter", 0), ("mu", -1.0), ("tol_primal", 0.0)):
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(cfg, name, value)
+    assert cfg == SolverConfig()
+    # replace builds a new config, and checks it
+    assert dataclasses.replace(cfg, max_iter=7).max_iter == 7
+    with pytest.raises(InputError, match="max_iter must be >= 1, got 0"):
+        dataclasses.replace(cfg, max_iter=0)
+
+
 def test_default_mu_scaling():
     def default_mu(Y):
         return solve_ssc(Y, SolverConfig(max_iter=1))[1].mu

@@ -141,6 +141,9 @@ def test_compare_partitions_examples():
     assert compare_partitions([0, 1, 2], [0, 1, 2]) == 1.0
     assert compare_partitions([0, 0, 1, 1], [1, 1, 0, 0]) == 1.0
     assert compare_partitions([0, 0, 1, 1], [0, 1, 0, 1]) == pytest.approx(2 / 6)
+    # fewer than two points have no pair to disagree on
+    assert compare_partitions([3], [0]) == 1.0
+    assert compare_partitions([], []) == 1.0
     with pytest.raises(InputError):
         compare_partitions([0, 1], [0, 1, 2])
 

@@ -17,7 +17,7 @@ from ssclust import (
     normalized_laplacian,
     symmetric_eigendecomposition,
 )
-from ssclust import spectral
+from ssclust import admm, spectral
 from ssclust.admm import tiles
 from ssclust.spectral import check_cluster_settings
 
@@ -161,12 +161,90 @@ def test_eigendecomposition_rejects_nonsymmetric():
     S = np.array([[1.0, 2.0], [0.0, 1.0]])
     with pytest.raises(InputError):
         symmetric_eigendecomposition(S)
-    # one-way entry 3 -> 0 between the pairs {0, 1} and {2, 3}: the
-    # components follow it, so it lands inside a block and is refused there
+    # one-way entry 3 -> 0 between the pairs {0, 1} and {2, 3}: refused
+    # with W, before the components are searched along its rows
     W = ideal_block_affinity([2, 2])
     W[3, 0] = 1.0
     with pytest.raises(InputError, match="not symmetric"):
         cluster(W)
+
+
+def test_eigendecomposition_refuses_one_ulp_and_nan():
+    # no tolerance: eigh reads one triangle, so an entry one ulp off its
+    # mirror would be dropped unseen; NaN equals nothing, not even itself
+    # 300 rows are three strips of the check, and the entries sit in each
+    rng = np.random.default_rng(31)
+    raw = rng.normal(size=(300, 300))
+    S = (raw + raw.T) / 2
+    assert len(tiles(300, 300)) == 3
+    symmetric_eigendecomposition(S)
+    for i, j in ((290, 3), (3, 290), (150, 151)):
+        off = S.copy()
+        off[i, j] = np.nextafter(off[i, j], np.inf)
+        with pytest.raises(InputError, match="^matrix is not symmetric$"):
+            symmetric_eigendecomposition(off)
+    for i, j in ((0, 0), (299, 1), (1, 299), (299, 299)):
+        bad = S.copy()
+        bad[i, j] = bad[j, i] = np.nan
+        with pytest.raises(InputError, match="^matrix is not symmetric$"):
+            symmetric_eigendecomposition(bad)
+
+
+def test_non_square_input_is_refused():
+    for shape in ((2, 3), (4,), (2, 2, 2)):
+        M = np.zeros(shape)
+        for refuse, name in (
+            (symmetric_eigendecomposition, "matrix"),
+            (normalized_laplacian, "affinity"),
+            (cluster, "affinity"),
+        ):
+            with pytest.raises(InputError) as info:
+                refuse(M)
+            assert str(info.value) == f"{name} must be square, got {shape}"
+
+
+def test_normalized_laplacian_refuses_an_asymmetric_affinity():
+    # L's symmetry rests on W's: an asymmetric W would give an asymmetric L
+    W = ideal_block_affinity([3, 3])
+    W[0, 4] = 0.5
+    with pytest.raises(InputError, match="^affinity is not symmetric$"):
+        normalized_laplacian(W)
+    W = ideal_block_affinity([3, 3])
+    W[2, 1] = np.nextafter(1.0, 2.0)
+    with pytest.raises(InputError, match="^affinity is not symmetric$"):
+        normalized_laplacian(W)
+
+
+def test_components_follow_every_strip_of_the_frontier(monkeypatch):
+    # strips of two rows: the first frontier {1, ..., 5} takes three, and
+    # vertex 6 hangs off vertex 5 in the last one
+    monkeypatch.setattr(admm, "TILE_ELEMENTS", 24)
+    W = ideal_block_affinity([7, 5])
+    W[:7, :7] = 0.0
+    for i, j in ((0, 1), (0, 2), (0, 3), (0, 4), (0, 5), (5, 6)):
+        W[i, j] = W[j, i] = 1.0
+    components = spectral._connected_components(W)
+    assert [c.tolist() for c in components] == [list(range(7)), list(range(7, 12))]
+    assert cluster(W).components == 2
+
+
+def test_cluster_refuses_a_one_way_entry_before_the_component_search(monkeypatch):
+    def never(*_):
+        raise AssertionError("component search or eigendecomposition called")
+
+    monkeypatch.setattr(spectral, "symmetric_eigendecomposition", never)
+    monkeypatch.setattr(spectral, "_connected_components", never)
+    # the non-finite and negative checks still come first
+    for entry, message in (
+        (0.5, "affinity is not symmetric"),
+        (np.inf, "affinity has non-finite entries"),
+        (-0.5, "affinity has negative entries"),
+    ):
+        W = ideal_block_affinity([6, 6])
+        W[11, 0] = entry
+        with pytest.raises(InputError) as info:
+            cluster(W, k_override=2)
+        assert str(info.value) == message
 
 
 def test_estimate_num_clusters_examples():
@@ -262,6 +340,9 @@ def test_kmeans_deterministic_and_bounds():
     for bad in (np.nan, np.inf):
         with pytest.raises(InputError, match="non-finite"):
             kmeans(np.where(np.arange(12)[:, None] == 5, bad, pts), 3)
+    for shape in ((12,), (2, 3, 2)):
+        with pytest.raises(InputError, match="^points must be 2-d"):
+            kmeans(np.zeros(shape), 1)
     # fewer distinct points than k: the seeds are equal rows, the reseated
     # centers coincide, ties go to the lower index, and clusters stay empty
     assert np.array_equal(kmeans(np.ones((6, 2)), 3), np.zeros(6))
@@ -408,9 +489,9 @@ def test_cluster_permutation_equivariant():
 
 
 def test_cluster_holds_no_dense_eigendecomposition():
-    # ten blocks of 100: L and the boolean adjacency, not an N x N eigh;
-    # one block: L, then eigh's N x N output once the symmetry check's
-    # one temporary is gone
+    # ten blocks of 100: small blocks of L, not an N x N eigh; one block:
+    # L, then eigh's N x N output (the symmetry checks and the component
+    # search read W a strip of rows at a time)
     rng = np.random.default_rng(19)
     for sizes, bound in (([100] * 10, 1.5), ([1000], 2.2)):
         W = ideal_block_affinity(sizes) * rng.uniform(0.5, 1.5, size=(1000, 1000))
