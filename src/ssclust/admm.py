@@ -53,8 +53,21 @@ U+ - U is A - C+ in exact arithmetic, the split residual, diagonal
 included.  The split, the residuals and the multiplier step are
 elementwise, so they read the transposed tiles as they are; a tile's
 diagonal entries are the same in either orientation.  u is stepped once
-every tile has read it.  At exit J^T is shrunk to C^T in place, and the
-solve returns C as its transposed view.
+every tile has read it.  At exit J^T is shrunk to C^T, a tile at a time,
+and the solve returns C as its transposed view.
+
+The iterate J^T, its tiles and the factors Q, L^T and v are held in the
+solve's dtype, float64 unless float32 is asked for, as the command line
+does: then each elementwise pass and each thin product moves half the
+bytes.  Y, mu, the factorization itself, u, the affine residual and the
+residual maxima stay float64.  The solve's one N x N buffer is float64,
+and a float32 J^T is a view over its first half.  At exit each tile of
+J^T is shrunk into a tile buffer and widened into the same rows of the
+float64 C^T, last tile first: tile b's float64 rows overwrite the float32
+entries from index 2 b.start N on, rows of b and of the tiles after it,
+all read already.  So C is float64 in either dtype, in the same buffer.
+float32 resolves about 6e-8 of an entry's size, so a tolerance below
+about 1e-6 may never be met, and the solve then runs to max_iter.
 
 Nothing is scanned for non-finite entries.  A non-finite J entry gives a
 non-finite C+ entry in the same split: clip(NaN) is NaN, inf - clip(inf)
@@ -96,9 +109,10 @@ BALANCE_RATIO = 10.0
 BALANCE_FACTOR = 2.0
 
 # Elements of an N x N array in one tile of the solve's elementwise pass:
-# three float64 tiles take 768 KB and stay in a core's L2 cache.  The size
-# is set in bytes, not rows: fixed 32-row tiles made the N = 200 default
-# run slower, as their extra numpy calls cost more than the cache saved.
+# three float64 tiles take 768 KB, three float32 ones 384 KB, and stay in a
+# core's L2 cache.  The size is set in bytes, not rows: fixed 32-row tiles
+# made the N = 200 default run slower, as their extra numpy calls cost more
+# than the cache saved.
 TILE_ELEMENTS = 2**15
 
 
@@ -198,11 +212,13 @@ class FactorizationCache:
     point-major tile products S^T_b Q and E^T_b L^T read.  Applying M^-1
     thus costs two thin products, O(N^2 r), and the cache holds no N x N
     matrix.  v = (N + 1) e_0 - Q^T 1 carries the multiplier u through the
-    A-update.  `bench/trace_child.py` times this class, by this name, as
-    `admm.factor`.
+    A-update.  Q, L^T, v and L^T 1 are held in `dtype`, the solve's: a
+    float32 cache casts them from the float64 factorization, and `set_rho`
+    solves from the float64 rho G it keeps.  `bench/trace_child.py` times
+    this class, by this name, as `admm.factor`.
     """
 
-    def __init__(self, Y, mu, rho):
+    def __init__(self, Y, mu, rho, dtype=np.float64):
         d, n = Y.shape
         # overflow is caught by the finiteness checks, not reported as a warning
         with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
@@ -219,14 +235,19 @@ class FactorizationCache:
             F = np.sqrt(mu) * thin
             rhoG = F - F.sum(axis=0) / (n + 1)
             self._Ft_rhoG = F.T @ rhoG
-        r = rhoG.shape[1]
-        self.Q = np.empty((n, r + 1))
-        self.Q[:, 0] = 1.0
-        self.Q[:, 1:] = rhoG
-        self.Lt = np.empty((r + 1, n))
+            r = rhoG.shape[1]
+            Q = np.empty((n, r + 1))
+            Q[:, 0] = 1.0
+            Q[:, 1:] = rhoG
+            v = -Q.sum(axis=0)
+            v[0] += n + 1
+            # a cast past float32's range leaves an inf, which the solve's
+            # finiteness check reports
+            self.Q = Q.astype(dtype, copy=False)
+            self.v = v.astype(dtype, copy=False)
+        self._rhoG = Q[:, 1:]  # float64: set_rho solves from it
+        self.Lt = np.empty((r + 1, n), dtype)
         self.Lt[0] = 1.0 / (n + 1)
-        self.v = -self.Q.sum(axis=0)
-        self.v[0] += n + 1
         self.set_rho(rho)
 
     def set_rho(self, rho):
@@ -234,14 +255,19 @@ class FactorizationCache:
 
         rho G = F - 1 1^T F / (N + 1) does not depend on rho, so Q, v and
         F^T (rho G) are kept, and only L^T's last r rows, (G K^-1)^T with
-        K = I + F^T (rho G) / rho, are solved again: O(N r^2).
+        K = I + F^T (rho G) / rho, are solved again: O(N r^2).  They and
+        1 / rho, the solve's shrink level, are checked finite in the cache's
+        dtype, after the cast; a refused rho leaves L^T as it was.
         """
         r = self._Ft_rhoG.shape[0]
+        dtype = self.Lt.dtype
         with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
             K = np.eye(r) + self._Ft_rhoG / rho
-            finite = np.isfinite(1.0 / rho) and np.isfinite(K).all()
+            finite = np.isfinite(dtype.type(1.0 / rho)) and np.isfinite(K).all()
             if finite:
-                Kinv_Gt = np.linalg.solve(K, self.Q[:, 1:].T) / rho
+                Kinv_Gt = np.linalg.solve(K, self._rhoG.T)
+                Kinv_Gt /= rho
+                Kinv_Gt = Kinv_Gt.astype(dtype, copy=False)
                 finite = np.isfinite(Kinv_Gt).all()
         if not finite:
             raise InputError(
@@ -249,7 +275,7 @@ class FactorizationCache:
                 f"rho = {rho!r} is too small for this data scale"
             )
         self.Lt[1:] = Kinv_Gt
-        self._Lt_1 = self.Lt.sum(axis=1)
+        self._Lt_1 = self.Lt.sum(axis=1, dtype=float).astype(dtype, copy=False)
 
     def thin_product(self, St, u, lo=0):
         """E^T = S^T Q - Q + u v^T for the rows lo, lo + 1, ... of S^T.
@@ -400,7 +426,7 @@ def objective_value(Y, C, mu):
     return float(l1 + 0.5 * mu * np.sum(resid * resid))
 
 
-def solve_ssc(Y, cfg=None):
+def solve_ssc(Y, cfg=None, dtype=np.float64):
     """Compute the sparse self-representation of the columns of Y.
 
     Parameters
@@ -409,14 +435,18 @@ def solve_ssc(Y, cfg=None):
         Data matrix, one point per column.
     cfg : SolverConfig, optional
         Solver parameters; defaults are data-dependent (see SolverConfig).
+    dtype : np.float64 or np.float32, optional
+        The precision of the iterate and the factors it is multiplied by
+        (see the module docstring); C is float64 in either.  A float32
+        solve may never meet a tolerance below about 1e-6.
 
     Returns
     -------
     C : array, shape (N, N)
         Coefficient matrix with exactly zero diagonal; column i is the
         sparse representation of point i in terms of the other points.
-        It is the transposed view of the solve's point-major J^T, shrunk
-        in place at exit, so it is Fortran-ordered.
+        It is the transposed view of the solve's point-major C^T, shrunk
+        from J^T at exit into the same buffer, so it is Fortran-ordered.
     report : SolveReport
         Convergence flag, iteration count, final residuals, mu, the final
         rho and its number of changes, and the full residual history.
@@ -425,14 +455,11 @@ def solve_ssc(Y, cfg=None):
     Y = check_data_matrix(Y)
     if cfg is None:
         cfg = SolverConfig()
+    dtype = np.dtype(dtype)
+    if dtype not in (np.float32, np.float64):
+        raise InputError(f"the iterate must be float32 or float64, got {dtype}")
     n = Y.shape[1]
     blocks = tiles(n, n)
-
-    # the loop's one N x N array J^T = (A + U)^T and its tiles, written in
-    # place: the split of a tile's J^T into U and C, S, and the split of
-    # the next J^T
-    Jt = np.zeros((n, n))
-    u_tile, c_tile, s_tile, next_tile = (np.empty((blocks[0].stop, n)) for _ in range(4))
     u, affine = np.zeros(n), np.empty(n)
     history = []
     converged = False
@@ -442,7 +469,17 @@ def solve_ssc(Y, cfg=None):
     with np.errstate(over="ignore", invalid="ignore"):
         mu = float(cfg.mu) if cfg.mu is not None else _default_mu(Y)
         rho = float(cfg.rho) if cfg.rho is not None else mu
-        cache = FactorizationCache(Y, mu, rho)
+        cache = FactorizationCache(Y, mu, rho, dtype)
+        # the solve's one N x N float64 buffer, C^T at exit, made once the
+        # factorization's temporaries are freed.  J^T = (A + U)^T in `dtype`
+        # is a view over its start, so a float32 J^T touches only half of
+        # its zero pages.  The tiles, written in place, hold the split of a
+        # tile's J^T into U and C, S, and the split of the next J^T
+        buf = np.zeros(n * n)
+        Jt = buf.view(dtype)[: n * n].reshape(n, n)
+        u_tile, c_tile, s_tile, next_tile = (
+            np.empty((blocks[0].stop, n), dtype) for _ in range(4)
+        )
         # per tile: max |U - U_prev|, max |C - C_prev|, and their squared norms
         tile_residuals = np.empty((len(blocks), 4))
         for iteration in range(1, cfg.max_iter + 1):
@@ -497,8 +534,12 @@ def solve_ssc(Y, cfg=None):
                     rho *= t
                     u /= t
                     rho_changes += 1
-        for b in blocks:
-            update_c(Jt[b], rho, out=Jt[b], work=u_tile[: b.stop - b.start], lo=b.start)
+        # last tile first: tile b's float64 rows of C^T overwrite only
+        # entries of J^T that b and the tiles after it held
+        Ct = buf.reshape(n, n)
+        for b in reversed(blocks):
+            h = b.stop - b.start
+            Ct[b] = update_c(Jt[b], rho, out=c_tile[:h], work=u_tile[:h], lo=b.start)[1]
 
     report = SolveReport(
         converged=converged,
@@ -511,4 +552,4 @@ def solve_ssc(Y, cfg=None):
         rho_changes=rho_changes,
         history=history,
     )
-    return Jt.T, report
+    return Ct.T, report

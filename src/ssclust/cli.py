@@ -32,6 +32,8 @@ import os
 import sys
 from dataclasses import fields
 
+import numpy as np
+
 from . import __version__
 from .admm import SolverConfig, check_data_matrix, solve_ssc
 from .data import (
@@ -362,7 +364,8 @@ def main(argv=None):
             G = gaussian_matrix(m, Y.shape[0], seed)
             Y = project(G, Y)
         stage = "solve"
-        C, report = solve_ssc(Y, solver)
+        # float32 iterates move half the bytes, to the same labels
+        C, report = solve_ssc(Y, solver, dtype=np.float32)
         if not report.converged:
             print(
                 f"ssclust: solve: not converged after {report.iterations} "

@@ -87,19 +87,23 @@ def build_affinity(C):
 
 
 def _check_symmetric(S, name):
-    """S, refused unless square and exactly symmetric.
+    """S, refused unless square, exactly symmetric and finite.
 
     The Laplacian and `eigh` are defined for a symmetric matrix only, and
     `build_affinity` makes W symmetric bit for bit, so no tolerance is
     taken: a caller symmetrizes with (S + S^T) / 2, which is exact.  Each
     strip of `tiles(N, N)` rows is compared with the matching columns, so
-    no N x N temporary is made, and a NaN, equal to nothing, is refused.
+    no N x N temporary is made, and a NaN, equal to nothing, is refused
+    as not symmetric.  A symmetric strip is then checked for +-inf, which
+    equals itself but leaves `eigh` with NaN eigenvalues.
     """
     if S.ndim != 2 or S.shape[0] != S.shape[1]:
         raise InputError(f"{name} must be square, got {S.shape}")
     for b in tiles(*S.shape):
         if not np.array_equal(S[b], S[:, b].T):
             raise InputError(f"{name} is not symmetric")
+        if not np.isfinite(S[b]).all():
+            raise InputError(f"{name} has non-finite entries")
     return S
 
 
@@ -127,10 +131,17 @@ def normalized_laplacian(W, deg=None):
     rows there hold nothing outside W, so the degrees have the same value,
     but summed over the full rows they round as they do for the larger
     affinity's own Laplacian, and the result equals its block bit for bit.
+    It must hold one finite, nonnegative degree per vertex of W.
     """
     W = _check_affinity(W)
     if deg is None:
         deg = W.sum(axis=1)
+    else:
+        deg = np.asarray(deg, dtype=float)
+        if deg.shape != W.shape[:1]:
+            raise InputError(f"deg must hold {W.shape[0]} degrees, got shape {deg.shape}")
+        if not (np.isfinite(deg).all() and deg.min(initial=0.0) >= 0):
+            raise InputError("degrees must be finite and nonnegative")
     inv_sqrt = np.where(deg > 0, 1.0 / np.sqrt(np.where(deg > 0, deg, 1.0)), 0.0)
     L = np.outer(-inv_sqrt, inv_sqrt)
     L *= W
@@ -141,9 +152,10 @@ def normalized_laplacian(W, deg=None):
 def symmetric_eigendecomposition(S):
     """Eigenvalues (ascending) and orthonormal eigenvectors of symmetric S.
 
-    S must be square and exactly symmetric (`_check_symmetric`); one that
-    is not, by a single ulp or a NaN, is refused rather than handed to
-    `eigh`, which reads one triangle only.
+    S must be square, exactly symmetric and finite (`_check_symmetric`);
+    one that is not, by a single ulp, a NaN or an inf, is refused rather
+    than handed to `eigh`, which reads one triangle only and returns NaN
+    eigenvalues for an inf.
     """
     S = _check_symmetric(np.asarray(S, dtype=float), "matrix")
     eigenvalues, eigenvectors = np.linalg.eigh(S)

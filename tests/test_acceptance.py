@@ -336,10 +336,12 @@ def test_stage_memory_budgets(tmp_path):
     # J^T = (A + U)^T and takes its default mu's Gram matrix a tile at a
     # time; the C heatmap is written before the affinity is summed in C's
     # own memory; the Laplacian is built one component at a time; the
-    # heatmaps are quantized a block of rows at a time.
+    # heatmaps are quantized a block of rows at a time.  The command line's
+    # float32 solve keeps J^T in half of the float64 buffer it returns C in.
     Y = synth_union_of_subspaces(10, 5, 200, 100, 0.0, 0).Y
     cfg = SolverConfig(max_iter=50, tol_primal=1e-300, tol_change=1e-300)
     unit = Y.shape[1] ** 2 * 8
+    solve32 = _traced_peak(lambda: solve_ssc(Y, cfg, dtype=np.float32))[1]
     (C, _), solve = _traced_peak(solve_ssc, Y, cfg)
     export_c = _traced_peak(export_heatmap, C, str(tmp_path / "c.pgm"))[1]
     W, affinity = _traced_peak(build_affinity, C)
@@ -347,14 +349,15 @@ def test_stage_memory_budgets(tmp_path):
     result, spectral = _traced_peak(cluster, W)
     assert result.components == 10
     export_w = _traced_peak(export_heatmap, W, str(tmp_path / "w.pgm"))[1]
-    peaks = [solve, affinity, spectral, max(export_c, export_w)]
+    peaks = [solve, solve32, affinity, spectral, max(export_c, export_w)]
     peaks = [peak / unit for peak in peaks]
-    ok = all(peak <= bound for peak, bound in zip(peaks, (1.6, 0.2, 0.5, 0.25)))
+    bounds = (1.6, 1.45, 0.2, 0.5, 0.25)
+    ok = all(peak <= bound for peak, bound in zip(peaks, bounds))
     _verdict(
         "stage-memory-budgets",
         ok,
-        "peaks / (N^2 * 8 B): solve {:.2f}, affinity {:.2f}, cluster {:.2f}, "
-        "export {:.2f}".format(*peaks),
+        "peaks / (N^2 * 8 B): solve {:.2f}, float32 solve {:.2f}, affinity {:.2f}, "
+        "cluster {:.2f}, export {:.2f}".format(*peaks),
     )
 
 
@@ -379,6 +382,6 @@ def test_run_memory_budget(tmp_path):
     peak /= 1000**2 * 8
     _verdict(
         "run-memory-budget",
-        code == 0 and peak <= 1.8,
+        code == 0 and peak <= 1.7,
         f"exit code {code}, cli.main peak / (N^2 * 8 B) = {peak:.2f}",
     )

@@ -13,6 +13,7 @@ from ssclust import (
     InputError,
     SolverConfig,
     build_affinity,
+    cluster,
     objective_value,
     solve_ssc,
     synth_union_of_subspaces,
@@ -620,6 +621,65 @@ def test_solve_ssc_error_paths():
     with pytest.raises(DivergenceError) as err:
         solve_ssc(Yn, SolverConfig(mu=1e308, rho=1e308))
     assert "iteration" in str(err.value)
+
+
+def test_float32_factors_keep_the_checks():
+    # the factors are cast from the float64 factorization and checked after
+    # the cast: 1 / rho = 1e39 is finite in float64 only
+    rng = np.random.default_rng(24)
+    wide = rng.normal(size=(2, 6))
+    FactorizationCache(wide, mu=1.0, rho=1e-39)
+    with pytest.raises(InputError, match="rho = 1e-39 is too small"):
+        FactorizationCache(wide, mu=1.0, rho=1e-39, dtype=np.float32)
+    # an L^T entry past float32's range, from a rho G scaled up: float64
+    # takes it, float32 refuses it and keeps its L^T
+    for dtype in (np.float64, np.float32):
+        cache = FactorizationCache(wide, mu=1.0, rho=1.0, dtype=dtype)
+        assert cache.Q.dtype == cache.Lt.dtype == cache.v.dtype == dtype
+        cache._rhoG = cache._rhoG * 1e300
+        before = cache.Lt.copy()
+        if dtype is np.float64:
+            cache.set_rho(1.0)
+            assert np.isfinite(cache.Lt).all()
+            continue
+        with pytest.raises(InputError, match="rho = 1.0 is too small"):
+            cache.set_rho(1.0)
+        assert np.array_equal(cache.Lt, before)
+    # mu = rho = 1e77 overflows a float32 iterate only
+    Y, cfg = np.eye(3), SolverConfig(mu=1e77, rho=1e77, max_iter=20)
+    assert solve_ssc(Y, cfg)[1].converged
+    with pytest.raises(DivergenceError, match="non-finite iterate at iteration"):
+        solve_ssc(Y, cfg, dtype=np.float32)
+    with pytest.raises(InputError, match="float32 or float64, got float16"):
+        solve_ssc(Y, cfg, dtype=np.float16)
+
+
+@pytest.mark.parametrize(
+    "spec, cfg",
+    [
+        ("10,5,200,100,0.0,0", SolverConfig(max_iter=50, tol_primal=1e-300, tol_change=1e-300)),
+        ("3,2,50,8,0.0,7", None),
+        ("5,3,100,40,0.05,0", None),
+    ],
+    ids=["bench-n1000-iter50", "default-n24", "default-noisy-n200"],
+)
+def test_float32_solve_matches_float64(spec, cfg):
+    # the command line's float32 iterate: a float64, Fortran-ordered C with
+    # an exactly zero diagonal, the same iteration count, the objective
+    # within 1e-6 relative and the same labels
+    K, d, D, n_per, noise, seed = spec.split(",")
+    Y = synth_union_of_subspaces(int(K), int(d), int(D), int(n_per), float(noise), int(seed)).Y
+    runs = {}
+    for dtype in (np.float64, np.float32):
+        C, report = solve_ssc(Y, cfg, dtype=dtype)
+        assert C.dtype == np.float64 and C.flags.f_contiguous
+        assert np.all(np.diag(C) == 0.0)
+        objective = objective_value(Y, C, report.mu)
+        runs[dtype] = report.iterations, objective, cluster(build_affinity(C)).labels
+    (it64, obj64, labels64), (it32, obj32, labels32) = runs[np.float64], runs[np.float32]
+    assert it32 == it64
+    assert abs(obj32 - obj64) <= 1e-6 * obj64
+    assert np.array_equal(labels32, labels64)
 
 
 def test_objective_value_direct():

@@ -666,6 +666,18 @@ def test_cluster_count_beyond_the_points_exits_input_before_the_solve(
     assert err.splitlines()[-1] == f"ssclust: ingest: {message}"
 
 
+def test_the_command_line_solves_in_float32(monkeypatch):
+    dtypes = []
+
+    def recorded_solve(Y, cfg=None, dtype=np.float64):
+        dtypes.append(dtype)
+        return ssclust.admm.solve_ssc(Y, cfg, dtype=dtype)
+
+    monkeypatch.setattr(ssclust.cli, "solve_ssc", recorded_solve)
+    assert main(["--synth", "3,2,50,8,0.0,7"]) == EXIT_OK
+    assert dtypes == [np.float32]
+
+
 def test_non_ascii_record_value_exits_config(tmp_path):
     frames = tmp_path / "donnée"
     frames.mkdir()

@@ -190,6 +190,54 @@ def test_eigendecomposition_refuses_one_ulp_and_nan():
             symmetric_eigendecomposition(bad)
 
 
+def test_eigendecomposition_refuses_infinity():
+    # inf equals its mirror, so only a finiteness check sees it; unchecked,
+    # eigh returns NaN eigenvalues
+    for pair in ((0, 1), (0, 0)):
+        S = np.eye(3)
+        S[pair] = S[pair[::-1]] = np.inf
+        with pytest.raises(InputError, match="^matrix has non-finite entries$"):
+            symmetric_eigendecomposition(S)
+    # checked one strip at a time: -inf in the last of three strips
+    rng = np.random.default_rng(33)
+    raw = rng.normal(size=(300, 300))
+    S = (raw + raw.T) / 2
+    S[299, 5] = S[5, 299] = -np.inf
+    assert len(tiles(300, 300)) == 3
+    with pytest.raises(InputError, match="^matrix has non-finite entries$"):
+        symmetric_eigendecomposition(S)
+
+
+def test_symmetry_and_finiteness_checks_make_no_square_temporary():
+    # 600 rows, 55 to a strip: the check's temporaries are a strip's, far
+    # below the 2.9 MB of one 600 x 600 float array
+    rng = np.random.default_rng(34)
+    raw = rng.normal(size=(600, 600))
+    S = (raw + raw.T) / 2
+    tracemalloc.start()
+    try:
+        spectral._check_symmetric(S, "matrix")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 0.2 * S.nbytes
+
+
+def test_normalized_laplacian_checks_given_degrees():
+    # a triangle: deg must hold one finite, nonnegative degree per vertex
+    W = np.ones((3, 3)) - np.eye(3)
+    assert np.array_equal(normalized_laplacian(W, W.sum(axis=1)), normalized_laplacian(W))
+    for deg, message in (
+        ([2.0, 2.0], "^deg must hold 3 degrees, got shape \\(2,\\)$"),
+        ([[2.0, 2.0, 2.0]], "^deg must hold 3 degrees, got shape \\(1, 3\\)$"),
+        ([2.0, np.nan, 2.0], "^degrees must be finite and nonnegative$"),
+        ([2.0, -2.0, 2.0], "^degrees must be finite and nonnegative$"),
+        ([2.0, np.inf, 2.0], "^degrees must be finite and nonnegative$"),
+    ):
+        with pytest.raises(InputError, match=message):
+            normalized_laplacian(W, deg)
+
+
 def test_non_square_input_is_refused():
     for shape in ((2, 3), (4,), (2, 2, 2)):
         M = np.zeros(shape)
