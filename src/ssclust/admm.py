@@ -53,19 +53,15 @@ U+ - U is A - C+ in exact arithmetic, the split residual, diagonal
 included.  The split, the residuals and the multiplier step are
 elementwise, so they read the transposed tiles as they are; a tile's
 diagonal entries are the same in either orientation.  u is stepped once
-every tile has read it.  At exit J^T is shrunk to C^T, a tile at a time,
-and the solve returns C as its transposed view.
+every tile has read it.  At exit J^T is shrunk to C^T in place, a tile at
+a time, and the solve returns C as its transposed view.
 
 The iterate J^T, its tiles and the factors Q, L^T and v are held in the
 solve's dtype, float64 unless float32 is asked for, as the command line
 does: then each elementwise pass and each thin product moves half the
-bytes.  Y, mu, the factorization itself, u, the affine residual and the
-residual maxima stay float64.  The solve's one N x N buffer is float64,
-and a float32 J^T is a view over its first half.  At exit each tile of
-J^T is shrunk into a tile buffer and widened into the same rows of the
-float64 C^T, last tile first: tile b's float64 rows overwrite the float32
-entries from index 2 b.start N on, rows of b and of the tiles after it,
-all read already.  So C is float64 in either dtype, in the same buffer.
+bytes, and the solve's one N x N array, J^T and then C^T, takes half the
+memory.  Y, mu, the factorization itself, u, the affine residual and the
+residual maxima stay float64.  C is returned in the solve's dtype.
 float32 resolves about 6e-8 of an entry's size, so a tolerance below
 about 1e-6 may never be met, and the solve then runs to max_iter.
 
@@ -125,6 +121,16 @@ def tiles(count, width):
     """
     rows = max(1, TILE_ELEMENTS // max(width, 1))
     return [slice(lo, min(lo + rows, count)) for lo in range(0, count, rows)]
+
+
+def as_float(x):
+    """x as a float array: a float32 array as it is, anything else float64.
+
+    A float64 array is returned as it is too, so only another dtype, or an
+    object that is not an array, is copied.
+    """
+    x = np.asarray(x)
+    return x if x.dtype == np.float32 else x.astype(float, copy=False)
 
 
 def check_data_matrix(Y):
@@ -417,11 +423,11 @@ def residual_report(U, U_prev, C, C_prev, work=None, norms=False):
 def objective_value(Y, C, mu):
     """Evaluate ||C||_1 + (mu/2) ||Y - Y C||_F^2.
 
-    ||C||_1 is summed one strip of C's columns at a time, as `tiles` cuts
-    them, so no N x N temporary is made; the residual holds D x N arrays
-    only.
+    ||C||_1 is summed in float64, one strip of C's columns at a time, as
+    `tiles` cuts them, so no N x N temporary is made for a float64 C; the
+    residual holds D x N arrays only.
     """
-    l1 = sum(np.abs(C[:, b]).sum() for b in tiles(C.shape[1], C.shape[0]))
+    l1 = sum(np.abs(C[:, b]).sum(dtype=float) for b in tiles(C.shape[1], C.shape[0]))
     resid = Y - Y @ C
     return float(l1 + 0.5 * mu * np.sum(resid * resid))
 
@@ -436,9 +442,9 @@ def solve_ssc(Y, cfg=None, dtype=np.float64):
     cfg : SolverConfig, optional
         Solver parameters; defaults are data-dependent (see SolverConfig).
     dtype : np.float64 or np.float32, optional
-        The precision of the iterate and the factors it is multiplied by
-        (see the module docstring); C is float64 in either.  A float32
-        solve may never meet a tolerance below about 1e-6.
+        The precision of the iterate, the factors it is multiplied by and
+        C (see the module docstring).  A float32 solve may never meet a
+        tolerance below about 1e-6.
 
     Returns
     -------
@@ -470,13 +476,11 @@ def solve_ssc(Y, cfg=None, dtype=np.float64):
         mu = float(cfg.mu) if cfg.mu is not None else _default_mu(Y)
         rho = float(cfg.rho) if cfg.rho is not None else mu
         cache = FactorizationCache(Y, mu, rho, dtype)
-        # the solve's one N x N float64 buffer, C^T at exit, made once the
-        # factorization's temporaries are freed.  J^T = (A + U)^T in `dtype`
-        # is a view over its start, so a float32 J^T touches only half of
-        # its zero pages.  The tiles, written in place, hold the split of a
-        # tile's J^T into U and C, S, and the split of the next J^T
-        buf = np.zeros(n * n)
-        Jt = buf.view(dtype)[: n * n].reshape(n, n)
+        # the solve's one N x N array, J^T = (A + U)^T and C^T at exit, made
+        # once the factorization's temporaries are freed.  The tiles, written
+        # in place, hold the split of a tile's J^T into U and C, S, and the
+        # split of the next J^T
+        Jt = np.zeros((n, n), dtype)
         u_tile, c_tile, s_tile, next_tile = (
             np.empty((blocks[0].stop, n), dtype) for _ in range(4)
         )
@@ -534,12 +538,8 @@ def solve_ssc(Y, cfg=None, dtype=np.float64):
                     rho *= t
                     u /= t
                     rho_changes += 1
-        # last tile first: tile b's float64 rows of C^T overwrite only
-        # entries of J^T that b and the tiles after it held
-        Ct = buf.reshape(n, n)
-        for b in reversed(blocks):
-            h = b.stop - b.start
-            Ct[b] = update_c(Jt[b], rho, out=c_tile[:h], work=u_tile[:h], lo=b.start)[1]
+        for b in blocks:
+            update_c(Jt[b], rho, out=Jt[b], work=u_tile[: b.stop - b.start], lo=b.start)
 
     report = SolveReport(
         converged=converged,
@@ -552,4 +552,4 @@ def solve_ssc(Y, cfg=None, dtype=np.float64):
         rho_changes=rho_changes,
         history=history,
     )
-    return Ct.T, report
+    return Jt.T, report

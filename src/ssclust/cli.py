@@ -2,9 +2,10 @@
 
 Stages run in a fixed order (ingest -> project -> solve -> spectral ->
 export), except that the --out-c heatmap is written before the affinity,
-since W is built in the solve's own N x N buffer.  N points whose N x N
-float array exceeds the machine's physical memory are refused at ingest,
-before any read.  A --k above N or (without --k) a --k-max of N or more
+since W is built in the solve's own N x N buffer: C and W are one float32
+N x N array from the solve to the labels.  N points whose N x N float64
+array exceeds the machine's physical memory are refused at ingest, before
+any read.  A --k above N or (without --k) a --k-max of N or more
 is refused at ingest, before the solve, by the spectral stage's own
 `check_cluster_settings`.  The argument parser is the only schema:
 config-file keys, their types, bounds and defaults, and the lines of the
@@ -241,10 +242,11 @@ def _check(args):
 
 
 def _check_fits(n):
-    """Refuse N points whose N x N float array exceeds physical memory.
+    """Refuse N points whose N x N float64 array exceeds physical memory.
 
-    Every run holds at least one such array, so a larger N cannot
-    finish.  Skipped where `os.sysconf` cannot tell.
+    Every run holds the solve's float32 N x N array, and the Laplacian of
+    a connected affinity graph is a float64 N x N array, so a larger N
+    cannot be clustered.  Skipped where `os.sysconf` cannot tell.
     """
     try:
         memory = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
@@ -364,7 +366,8 @@ def main(argv=None):
             G = gaussian_matrix(m, Y.shape[0], seed)
             Y = project(G, Y)
         stage = "solve"
-        # float32 iterates move half the bytes, to the same labels
+        # float32 iterates move half the bytes, to the same labels, and C and
+        # W then take half the memory
         C, report = solve_ssc(Y, solver, dtype=np.float32)
         if not report.converged:
             print(
@@ -373,7 +376,8 @@ def main(argv=None):
                 f"r3={report.r_change:.3g})",
                 file=sys.stderr,
             )
-        # W is built in the solve's buffer, so the C heatmap is written first
+        # W is built in the solve's float32 buffer, so the C heatmap is
+        # written first
         stage = "export"
         write(args.out_c, export_heatmap, C)
         stage = "spectral"

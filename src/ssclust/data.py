@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .admm import tiles
+from .admm import as_float, tiles
 from .errors import FormatError, InputError
 
 MAX_BASIS_RETRIES = 100
@@ -206,8 +206,11 @@ def export_heatmap(M, path):
     opened, and so is one whose peak, taken first, is NaN or infinite.
     The pixels are then quantized and written one block of rows at a
     time, as `tiles(*M.shape)` cuts them, so no array of M's size is made.
+    A float32 M, as the command line's C and W are, is read as it is and
+    each block quantized in float64, so it gives the bytes of
+    M.astype(float); any other dtype is read as float64.
     """
-    M = np.asarray(M, dtype=float)
+    M = as_float(M)
     if M.ndim != 2 or M.size == 0:
         raise InputError(f"heatmap needs a non-empty 2-d array, got shape {M.shape}")
     peak = max(M.max(), -M.min())  # NaN when M holds a NaN
@@ -217,7 +220,7 @@ def export_heatmap(M, path):
     with open(path, "wb") as fh:
         fh.write(header)
         for b in tiles(*M.shape):
-            mags = np.abs(M[b])
+            mags = np.abs(M[b], dtype=float)
             if peak > 0:  # else every magnitude is 0 already
                 mags = np.rint(255.0 * mags / peak)
             fh.write(mags.astype(np.uint8).tobytes())

@@ -26,7 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .admm import tiles
+from .admm import as_float, tiles
 from .errors import InputError
 
 AFFINITY_FORMULA = "colmax-abs-symmetrize"
@@ -48,10 +48,12 @@ def build_affinity(C):
 
     Each column is scaled by the reciprocal of its max-abs entry (zero
     columns pass through), then W = |C~| + |C~|^T.  W is built in C's own
-    memory, so C is lost and the call holds no N x N array besides it; a
-    caller that needs C afterwards passes a copy.  C must be a writable
-    float array, C- or Fortran-contiguous, and is refused otherwise rather
-    than copied.  A Fortran-ordered C, as `solve_ssc` returns, is the
+    memory and dtype, so C is lost and the call holds no N x N array
+    besides it; a caller that needs C afterwards passes a copy.  C must be
+    a writable float32 or float64 array, C- or Fortran-contiguous, and is
+    refused otherwise rather than copied.  A float32 C, as the command
+    line's solve returns, gives a float32 W, scaled and summed in float32,
+    at half the memory.  A Fortran-ordered C, as `solve_ssc` returns, is the
     transposed view of the C-ordered C^T: |C~|^T is formed there, its row
     peaks being C's column peaks.  The sum is taken one strip of
     `tiles(N, N)` rows and the matching columns at a time: W_ij = W_ji =
@@ -61,8 +63,7 @@ def build_affinity(C):
     the Laplacian's degrees, round the same for a C from `solve_ssc` as
     for a C-ordered copy of it.
     """
-    given = C
-    C = np.asarray(C, dtype=float)
+    given, C = C, as_float(C)
     if C.ndim != 2 or C.shape[0] != C.shape[1]:
         raise InputError(f"coefficient matrix must be square, got {C.shape}")
     if np.abs(np.diag(C)).max(initial=0.0) != 0.0:
@@ -108,9 +109,17 @@ def _check_symmetric(S, name):
 
 
 def _check_affinity(W):
-    """W as a float array, refused unless finite, nonnegative and symmetric."""
-    W = np.asarray(W, dtype=float)
-    if not np.isfinite(W).all():
+    """W, refused unless square, finite, nonnegative and exactly symmetric.
+
+    A float32 W is taken as it is, anything else as float64 (`as_float`),
+    so a float32 W costs no float64 copy.  Finiteness is checked one strip
+    of `tiles(N, N)` rows at a time, so no N x N temporary is made, and
+    before the sign and the symmetry: an inf is refused as non-finite.
+    """
+    W = as_float(W)
+    if W.ndim != 2 or W.shape[0] != W.shape[1]:
+        raise InputError(f"affinity must be square, got {W.shape}")
+    if not all(np.isfinite(W[b]).all() for b in tiles(*W.shape)):
         raise InputError("affinity has non-finite entries")
     if W.min(initial=0.0) < 0:
         raise InputError("affinity has negative entries")
@@ -124,7 +133,12 @@ def normalized_laplacian(W, deg=None):
     Degree-zero vertices get an all-zero row and column (diagonal
     included), so each isolated vertex contributes one zero eigenvalue.
     Entry (i, j) is (-s_i s_j) W_ij with s = D^{-1/2}, so the exactly
-    symmetric W gives an exactly symmetric L.
+    symmetric W gives an exactly symmetric L.  L is float64 whatever W's
+    dtype: a float32 W is read by `L *= W` and summed into its degrees in
+    float64, with no float64 copy of W.  It gives the L of W.astype(float)
+    bit for bit while a row fits numpy's 8192-entry cast buffer; a longer
+    row is summed a buffer at a time, and its degree may differ in the
+    last bits.
 
     `deg`, when given, holds the degrees of W's vertices in a larger
     affinity of which W is the block of whole connected components: their
@@ -135,7 +149,7 @@ def normalized_laplacian(W, deg=None):
     """
     W = _check_affinity(W)
     if deg is None:
-        deg = W.sum(axis=1)
+        deg = W.sum(axis=1, dtype=float)
     else:
         deg = np.asarray(deg, dtype=float)
         if deg.shape != W.shape[:1]:
@@ -265,8 +279,12 @@ def kmeans(points, k):
 
 
 def _sq_distances(points, centers):
-    diff = points[:, None, :] - centers[None, :, :]
-    return np.sum(diff * diff, axis=2)
+    """The N x k squared distances of the points to each center.
+
+    One center at a time, so the temporaries are N x d, each row summed
+    along its d entries as the broadcast N x k x d difference is.
+    """
+    return np.column_stack([np.square(points - c).sum(axis=1) for c in centers])
 
 
 def _connected_components(W):
@@ -307,21 +325,25 @@ def cluster(W, k_override=None, k_max=None):
     and passes it uncopied.  A split W builds each component's block of L
     alone, from the degrees of W's full rows, so each block equals the
     same rows and columns of the whole L bit for bit, and no N x N array
-    besides W is held.  The split is exact, because L has no entry
-    between components: each block's eigenpairs are eigenpairs of L once
-    the eigenvectors are extended by zeros.  The blocks' eigenvalues are stable-sorted into the ascending
-    spectrum, and the embedding takes the eigenvectors of the k smallest,
-    zero outside their blocks.  When k is below the number of components,
-    more eigenvectors than k belong to the zero eigenvalue: the embedding
-    takes those of the blocks whose rounded zero eigenvalues sort first
-    (exact ties in component order), and the points of the other
-    components sit at the origin.
+    besides W is held.  W may be float32, as the command line's is, or
+    float64; L and the degrees are float64 either way, and a float32 W is
+    read with no float64 copy of it (see `normalized_laplacian`).  The
+    split is exact, because L has no entry between components: each
+    block's eigenpairs are eigenpairs of L once the eigenvectors are
+    extended by zeros.  The blocks' eigenvalues are stable-sorted into the
+    ascending spectrum, and the embedding takes the eigenvectors of the k
+    smallest, zero outside their blocks.  When k is below the number of
+    components, more eigenvectors than k belong to the zero eigenvalue:
+    the embedding takes those of the blocks whose rounded zero eigenvalues
+    sort first (exact ties in component order), and the points of the
+    other components sit at the origin.
 
     Parameters
     ----------
     W : array, shape (N, N)
         Finite, nonnegative, exactly symmetric affinity with zero
-        diagonal; symmetrize a nearly symmetric S as (S + S.T) / 2.
+        diagonal, float32 or float64 (another dtype is read as float64);
+        symmetrize a nearly symmetric S as (S + S.T) / 2.
     k_override : int, optional
         Fixed cluster count; skips eigengap estimation when given.
     k_max : int, optional
@@ -339,7 +361,7 @@ def cluster(W, k_override=None, k_max=None):
     # before the component search and any eigendecomposition
     k_max = check_cluster_settings(n, k, k_max)
     components = _connected_components(W)
-    deg = W.sum(axis=1)
+    deg = W.sum(axis=1, dtype=float)
     spectra = [
         symmetric_eigendecomposition(
             normalized_laplacian(W if len(components) == 1 else W[np.ix_(c, c)], deg[c])

@@ -337,34 +337,39 @@ def test_stage_memory_budgets(tmp_path):
     # time; the C heatmap is written before the affinity is summed in C's
     # own memory; the Laplacian is built one component at a time; the
     # heatmaps are quantized a block of rows at a time.  The command line's
-    # float32 solve keeps J^T in half of the float64 buffer it returns C in.
+    # float32 solve holds J^T and returns C in one float32 array, half a
+    # unit; W is built in it, and the spectral stage and the heatmaps read
+    # it with no float64 copy.
     Y = synth_union_of_subspaces(10, 5, 200, 100, 0.0, 0).Y
     cfg = SolverConfig(max_iter=50, tol_primal=1e-300, tol_change=1e-300)
     unit = Y.shape[1] ** 2 * 8
-    solve32 = _traced_peak(lambda: solve_ssc(Y, cfg, dtype=np.float32))[1]
-    (C, _), solve = _traced_peak(solve_ssc, Y, cfg)
-    export_c = _traced_peak(export_heatmap, C, str(tmp_path / "c.pgm"))[1]
-    W, affinity = _traced_peak(build_affinity, C)
-    assert np.shares_memory(W, C)
-    result, spectral = _traced_peak(cluster, W)
-    assert result.components == 10
-    export_w = _traced_peak(export_heatmap, W, str(tmp_path / "w.pgm"))[1]
-    peaks = [solve, solve32, affinity, spectral, max(export_c, export_w)]
-    peaks = [peak / unit for peak in peaks]
-    bounds = (1.6, 1.45, 0.2, 0.5, 0.25)
+    peaks = {}
+    for dtype in (np.float64, np.float32):
+        (C, _), solve = _traced_peak(lambda: solve_ssc(Y, cfg, dtype=dtype))
+        export_c = _traced_peak(export_heatmap, C, str(tmp_path / "c.pgm"))[1]
+        W, affinity = _traced_peak(build_affinity, C)
+        assert np.shares_memory(W, C) and W.dtype == dtype
+        result, spectral = _traced_peak(cluster, W)
+        assert result.components == 10
+        export_w = _traced_peak(export_heatmap, W, str(tmp_path / "w.pgm"))[1]
+        peaks[dtype] = solve, affinity, spectral, max(export_c, export_w)
+        del C, W
+    peaks = [peak / unit for peak in peaks[np.float64] + peaks[np.float32]]
+    bounds = (1.6, 0.2, 0.25, 0.25, 0.85, 0.1, 0.25, 0.25)
     ok = all(peak <= bound for peak, bound in zip(peaks, bounds))
     _verdict(
         "stage-memory-budgets",
         ok,
-        "peaks / (N^2 * 8 B): solve {:.2f}, float32 solve {:.2f}, affinity {:.2f}, "
-        "cluster {:.2f}, export {:.2f}".format(*peaks),
+        "peaks / (N^2 * 8 B): solve {:.2f}, affinity {:.2f}, cluster {:.2f}, "
+        "export {:.2f}; float32: solve {:.2f}, affinity {:.2f}, cluster {:.2f}, "
+        "export {:.2f}".format(*peaks),
     )
 
 
 def test_run_memory_budget(tmp_path):
     # the whole run on the same input, every output asked for: C is written
     # before W is built in its memory, so no stage past the solve holds a
-    # second N x N array
+    # second N x N array, and C and W are one float32 array, half a unit
     outputs = [
         "--out-labels", str(tmp_path / "labels.csv"),
         "--out-w", str(tmp_path / "w.pgm"),
@@ -382,6 +387,6 @@ def test_run_memory_budget(tmp_path):
     peak /= 1000**2 * 8
     _verdict(
         "run-memory-budget",
-        code == 0 and peak <= 1.7,
+        code == 0 and peak <= 1.1,
         f"exit code {code}, cli.main peak / (N^2 * 8 B) = {peak:.2f}",
     )

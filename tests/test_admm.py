@@ -664,15 +664,15 @@ def test_float32_factors_keep_the_checks():
     ids=["bench-n1000-iter50", "default-n24", "default-noisy-n200"],
 )
 def test_float32_solve_matches_float64(spec, cfg):
-    # the command line's float32 iterate: a float64, Fortran-ordered C with
-    # an exactly zero diagonal, the same iteration count, the objective
-    # within 1e-6 relative and the same labels
+    # the command line's float32 iterate: a Fortran-ordered C in the
+    # solve's dtype with an exactly zero diagonal, the same iteration count,
+    # the objective within 1e-6 relative and the same labels
     K, d, D, n_per, noise, seed = spec.split(",")
     Y = synth_union_of_subspaces(int(K), int(d), int(D), int(n_per), float(noise), int(seed)).Y
     runs = {}
     for dtype in (np.float64, np.float32):
         C, report = solve_ssc(Y, cfg, dtype=dtype)
-        assert C.dtype == np.float64 and C.flags.f_contiguous
+        assert C.dtype == dtype and C.flags.f_contiguous
         assert np.all(np.diag(C) == 0.0)
         objective = objective_value(Y, C, report.mu)
         runs[dtype] = report.iterations, objective, cluster(build_affinity(C)).labels

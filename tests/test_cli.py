@@ -678,6 +678,27 @@ def test_the_command_line_solves_in_float32(monkeypatch):
     assert dtypes == [np.float32]
 
 
+def test_the_affinity_is_built_in_the_float32_solve_buffer(monkeypatch):
+    # C stays float32 from the solve to the affinity, which is built in its
+    # memory: no float64 copy of C or W
+    solved, given = [], []
+
+    def recorded_solve(Y, cfg=None, dtype=np.float64):
+        C, report = ssclust.admm.solve_ssc(Y, cfg, dtype=dtype)
+        solved.append(C)
+        return C, report
+
+    def recorded_affinity(C):
+        given.append(C)
+        return ssclust.spectral.build_affinity(C)
+
+    monkeypatch.setattr(ssclust.cli, "solve_ssc", recorded_solve)
+    monkeypatch.setattr(ssclust.cli, "build_affinity", recorded_affinity)
+    assert main(["--synth", "3,2,50,8,0.0,7"]) == EXIT_OK
+    assert [C.dtype for C in given] == [np.float32]
+    assert np.shares_memory(given[0], solved[0])
+
+
 def test_non_ascii_record_value_exits_config(tmp_path):
     frames = tmp_path / "donnée"
     frames.mkdir()

@@ -393,6 +393,24 @@ def test_export_heatmap_streams_the_same_bytes(tmp_path, monkeypatch):
         assert p.read_bytes() == b"P5\n5 7\n255\n" + pixels.tobytes()
 
 
+def test_export_heatmap_float32_gives_the_float64_bytes(tmp_path):
+    # a float32 M, as the command line's C and W, is quantized a block of
+    # rows at a time in float64: the bytes of M.astype(float), for a C- and
+    # a Fortran-ordered M, with no copy the size of M
+    M = np.random.default_rng(29).normal(size=(1000, 1000)).astype(np.float32)
+    want, got = tmp_path / "want.pgm", tmp_path / "got.pgm"
+    export_heatmap(M.astype(float), str(want))
+    for layout in (M, np.asfortranarray(M)):
+        tracemalloc.start()
+        try:
+            export_heatmap(layout, str(got))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert got.read_bytes() == want.read_bytes()
+        assert peak <= 0.5 * M.nbytes
+
+
 def test_export_heatmap_rejects_nonfinite(tmp_path):
     # refused before the file is opened
     for bad in (np.inf, -np.inf, np.nan):

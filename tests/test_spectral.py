@@ -210,17 +210,23 @@ def test_eigendecomposition_refuses_infinity():
 
 def test_symmetry_and_finiteness_checks_make_no_square_temporary():
     # 600 rows, 55 to a strip: the check's temporaries are a strip's, far
-    # below the 2.9 MB of one 600 x 600 float array
+    # below the 2.9 MB of one 600 x 600 float array, and the 0.36 MB of its
+    # N x N boolean mask; so are the affinity's, of a float64 or a float32 W
     rng = np.random.default_rng(34)
     raw = rng.normal(size=(600, 600))
     S = (raw + raw.T) / 2
-    tracemalloc.start()
-    try:
-        spectral._check_symmetric(S, "matrix")
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak <= 0.2 * S.nbytes
+    for check, M in (
+        (lambda M: spectral._check_symmetric(M, "matrix"), S),
+        (spectral._check_affinity, np.abs(S)),
+        (spectral._check_affinity, np.abs(S).astype(np.float32)),
+    ):
+        tracemalloc.start()
+        try:
+            assert check(M) is M
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 0.1 * S.nbytes
 
 
 def test_normalized_laplacian_checks_given_degrees():
@@ -630,16 +636,80 @@ def test_build_affinity_equals_the_symmetric_sum():
 
 
 def test_build_affinity_refuses_what_it_would_copy():
-    # a strided view, an integer or a read-only array cannot hold W:
-    # refused, not copied
+    # a strided view, an integer, a float16 or a read-only array cannot
+    # hold W: refused, not copied
     C = np.zeros((6, 6))
     C[0, 1] = C[1, 0] = 1.0
     frozen = C.copy()
     frozen.flags.writeable = False
-    for bad in (C[::2, ::2], C.astype(int), frozen):
+    for bad in (C[::2, ::2], C.astype(int), C.astype(np.float16), frozen):
         with pytest.raises(InputError):
             build_affinity(bad)
     assert C[0, 1] == 1.0
+
+
+def test_float32_affinity_is_the_float32_symmetric_sum():
+    # the command line's float32 C: W is scaled and summed in float32, in
+    # C's memory, and equals the whole-array float32 sum bit for bit, for a
+    # C- and a Fortran-ordered C
+    rng = np.random.default_rng(37)
+    C = rng.normal(size=(300, 300)) * (rng.uniform(size=(300, 300)) < 0.2)
+    C = C.astype(np.float32)
+    np.fill_diagonal(C, 0.0)
+    C[:, 7] = 0.0  # a zero column passes through
+    scaled = np.abs(C)
+    peaks = scaled.max(axis=0)
+    scaled /= np.where(peaks > 0, peaks, np.float32(1.0))
+    want = scaled + scaled.T
+    assert want.dtype == np.float32
+    for layout in (C.copy(), np.asfortranarray(C)):
+        W = build_affinity(layout)
+        assert W.dtype == np.float32 and W.flags.c_contiguous
+        assert np.shares_memory(W, layout)
+        assert W.tobytes() == want.tobytes()
+
+
+def test_float32_affinity_clusters_as_its_float64_copy():
+    # a float32 W is read as it is: its degrees are summed and its
+    # Laplacian built in float64, giving the L, spectrum and labels of
+    # W.astype(float), split into six components or connected.  A split W
+    # makes no N x N float64 temporary, nor a float32 copy of W
+    rng = np.random.default_rng(41)
+    for sizes in ([120, 100, 80, 100, 100, 100], [300]):
+        n = sum(sizes)
+        W = ideal_block_affinity(sizes) * rng.uniform(0.01, 1.0, size=(n, n))
+        W = (np.triu(W) + np.triu(W).T).astype(np.float32)
+        wide = W.astype(float)
+        L = normalized_laplacian(W)
+        assert L.dtype == np.float64
+        assert np.array_equal(L, normalized_laplacian(wide))
+        tracemalloc.start()
+        try:
+            result = cluster(W)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        want = cluster(wide)
+        assert result.components == want.components == len(sizes)
+        assert np.array_equal(result.eigenvalues, want.eigenvalues)
+        assert np.array_equal(result.labels, want.labels)
+        if len(sizes) > 1:  # the blocks' eigenvectors take a third of W's bytes
+            assert peak < W.nbytes
+
+
+def test_sq_distances_equal_the_broadcast_form():
+    # one center at a time, each row summed along its d entries as the
+    # N x k x d broadcast difference is: the same distances, bit for bit,
+    # below and above the 8 entries numpy's pairwise sum unrolls
+    rng = np.random.default_rng(43)
+    for n, k, d in ((50, 3, 3), (7, 1, 16), (200, 12, 12), (300, 15, 15), (40, 4, 130)):
+        points = rng.normal(size=(n, d))
+        centers = rng.normal(size=(k, d))
+        diff = points[:, None, :] - centers[None, :, :]
+        want = np.sum(diff * diff, axis=2)
+        got = spectral._sq_distances(points, centers)
+        assert got.shape == (n, k)
+        assert np.array_equal(got, want)
 
 
 def test_zero_eigenvalues_count_components_up_to_30():
